@@ -93,6 +93,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     "rate_scaling needs mu_star_override or a single nu value"
                 )
+        for n in sorted({n for _, _, n in self.cells()}):
+            try:
+                build_grid(n, self.M, 1)
+            except ValueError as exc:
+                raise ConfigError(f"no estimation grid for n={n}: {exc}") from None
         for _, nu, n in self.cells():
             mu = self.mu_star(nu, n)
             if mu > self.M:

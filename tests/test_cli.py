@@ -68,6 +68,15 @@ class TestEstimate:
         assert code == 2
         assert ":3" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_data_error(self, tmp_path, bad):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"0.1\n-0.4\n{bad}\n0.3\n1.2\n")
+        code, out, err = run_cli("estimate", "--kernel", "gaussian", "--data", str(p), "--bound-m", "2")
+        assert code == 2
+        assert "non-finite" in err
+        assert "Traceback" not in err and out == ""
+
     def test_zero_bound_usage_error(self, gaussian_fixture):
         path, _ = gaussian_fixture
         code, _, _ = run_cli("estimate", "--kernel", "gaussian", "--data", str(path), "--bound-m", "0")
@@ -183,6 +192,16 @@ class TestSimulate:
         code, _, err = run_cli("simulate", "--config", str(p), "--out", str(tmp_path / "o.csv"))
         assert code == 2
         assert "lambda_star" in err
+
+    def test_cell_below_grid_minimum_is_config_error(self, tmp_path):
+        p = tmp_path / "small.config"
+        p.write_text(
+            "kernel = gaussian\nn = 500\nlambda_star = 0.25\nM = 10\nreplicates = 2\n"
+            "master_seed = 1\nmode = rate_scaling\nn_values = 2, 500\nmu_star_override = 2.0\n"
+        )
+        code, _, err = run_cli("simulate", "--config", str(p), "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert "n=2" in err and "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path):
         code, _, _ = run_cli("simulate", "--config", "/no/such.config", "--out", str(tmp_path / "o.csv"))

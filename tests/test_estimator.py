@@ -1,8 +1,14 @@
 import math
+import threading
+import time
+import tracemalloc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from contamix import estimator
 from contamix.estimator import (
     ContrastTable,
     EstimateResult,
@@ -110,6 +116,12 @@ class TestPrecompute:
         g = build_grid(4, 1.0, 1)
         with pytest.raises(ValueError):
             precompute(GAUSS, g, np.array([]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data(self, bad):
+        g = build_grid(4, 1.0, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            precompute(GAUSS, g, np.array([0.1, bad, 0.3]))
 
 
 class TestContrast:
@@ -231,6 +243,122 @@ class TestEstimate:
         val, i, j = naive_scan(k2, data, grid)
         assert (res.lambda_index, res.mu_index) == (i, j)
         assert abs(res.contrast_value - val) < 1e-10
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_estimate_rejects_non_finite_data(self, any_kernel, bad):
+        data = np.array([0.2, -0.4, bad, 1.1, 0.7])
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate(any_kernel, data, 2.0)
+
+    def test_scan_refuses_non_finite_table(self):
+        data = sample_mixture(GAUSS, MixtureParams(0.3, 1.0), 25, seed=8)
+        g = build_grid(25, 2.0, 1)
+        inner = np.full(g.mu_levels.shape[0], math.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate(GAUSS, data, 2.0, inner_products=inner)
+
+
+class TestInnerCacheFill:
+    def test_concurrent_fill_runs_once(self, monkeypatch):
+        fills = []
+        real = estimator.cross_inner_many
+
+        def slow_fill(*args, **kwargs):
+            fills.append(threading.get_ident())
+            time.sleep(0.05)  # widen the window in which other threads arrive
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "cross_inner_many", slow_fill)
+        monkeypatch.setattr(estimator, "_INNER_CACHE", {})
+        grid = build_grid(100, 2.0, 1)
+        barrier = threading.Barrier(4)
+        got = []
+
+        def worker():
+            barrier.wait()
+            got.append(estimator._grid_inner_products(GAUSS, grid))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert len(fills) == 1
+        assert len(got) == 4 and all(a is got[0] for a in got)
+
+
+def assert_lattice_scan_exact(data, M):
+    """The Gaussian estimate equals precompute + _scan_table bit for bit, and
+    the lattice sums lie within their bound of the direct sums."""
+    grid = build_grid(len(data), M, 1)
+    table = precompute(GAUSS, grid, data)
+    val, i, j = estimator._scan_table(grid, table)
+    sums, eps = estimator._lattice_shift_sums(grid, data)
+    assert np.max(np.abs(sums - table.shift_sums)) <= eps
+    res = estimate(GAUSS, data, M)
+    assert (res.lambda_index, res.mu_index) == (i, j)
+    assert np.float64(res.contrast_value).tobytes() == np.float64(val).tobytes()
+
+
+class TestLatticeScan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(4, 3000),
+        M=st.floats(1.0, 10.0),
+        lam=st.floats(0.01, 0.99),
+        mu_frac=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_direct_path(self, n, M, lam, mu_frac, seed):
+        data = sample_mixture(GAUSS, MixtureParams(lam, mu_frac * M), n, seed=seed)
+        assert_lattice_scan_exact(data, M)
+
+    def test_symmetric_data_ties(self, monkeypatch):
+        # x and -x give gamma(mu) = gamma(-mu) up to rounding: both columns
+        # of the minimum must be recomputed and the direct tie rule decides
+        x = sample_mixture(GAUSS, MixtureParams(0.3, 1.5), 600, seed=21)
+        data = np.concatenate([x, -x])
+        sizes = []  # mu levels per precompute call; the last is the recompute
+        real = estimator.precompute
+
+        def spy(kernel, grid, *args, **kwargs):
+            sizes.append(grid.mu_levels.shape[0])
+            return real(kernel, grid, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "precompute", spy)
+        assert_lattice_scan_exact(data, 4.0)
+        assert sizes[-1] >= 2
+
+    def test_samples_on_bin_edges(self):
+        n, M = 900, 3.0
+        h = 1.0 / math.sqrt(n)
+        k = np.random.default_rng(5).integers(-140, 140, size=n)
+        assert_lattice_scan_exact((k + 0.5) * h, M)
+
+    @pytest.mark.parametrize("value", [0.0, 0.37, -2.5])
+    def test_repeated_value(self, value):
+        assert_lattice_scan_exact(np.full(400, value), 3.0)
+
+    def test_far_outliers_keep_memory_bounded(self):
+        data = sample_mixture(GAUSS, MixtureParams(0.25, 2.0), 2000, seed=9)
+        data[:4] = [1e6, -1e6, 1e6 + 0.5, 40.0]
+        assert_lattice_scan_exact(data, 10.0)
+        grid = build_grid(2000, 10.0, 1)
+        tracemalloc.start()
+        try:
+            estimator._lattice_shift_sums(grid, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bins span the mu levels plus T, not the data range
+        assert peak < 8 * 2 ** 20
+
+    def test_all_samples_far(self):
+        # nothing is binned; the skipped sums (~1e-183) are covered by eps
+        assert_lattice_scan_exact(np.linspace(30.0, 31.0, 64), 1.0)
 
 
 @pytest.mark.slow
