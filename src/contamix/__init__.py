@@ -1,6 +1,6 @@
 """Parameter recovery in two-component contamination mixtures via L2 contrast.
 
-Subpackages: ``kernels`` (baseline densities and inner products), ``mixture``
+Modules: ``kernels`` (baseline densities and inner products), ``mixture``
 (the contamination family and its L2 geometry), ``estimator`` (grid contrast
 minimization), ``metrics`` (Wasserstein distances between mixing measures),
 ``certify`` (numerical inequality scans), ``simharness`` (Monte-Carlo

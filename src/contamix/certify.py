@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .kernels import Kernel, QuadratureSpec, cross_inner_many, self_inner
-from .metrics import MixingDistribution, w2_squared
+from .metrics import w2_squared
 from .mixture import MixtureParams, l2_distance_sq
 
 __all__ = [
@@ -215,9 +215,8 @@ def scan_l2w2(
     thetas = _theta_grid(lambda_steps, mu_range, mu_steps, mu_min)
 
     def ratio(t1, t2) -> float:
-        d2 = l2_distance_sq(kernel, MixtureParams(*t1), MixtureParams(*t2), quadrature)
-        w2 = w2_squared(MixingDistribution(*t1), MixingDistribution(*t2))
-        return math.sqrt(d2) / w2
+        g1, g2 = MixtureParams(*t1), MixtureParams(*t2)
+        return math.sqrt(l2_distance_sq(kernel, g1, g2, quadrature)) / w2_squared(g1, g2)
 
     rows = []
     for i, t1 in enumerate(thetas):

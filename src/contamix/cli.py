@@ -14,7 +14,8 @@ import numpy as np
 from . import certify as certify_mod
 from .estimator import build_grid, estimate
 from .kernels import FAMILIES, Kernel, cross_inner
-from .metrics import MixingDistribution, w1, w2_squared
+from .metrics import w1, w2_squared
+from .mixture import MixtureParams
 from .simharness import ConfigError, emit_csv, load_config, run_experiment
 
 EXIT_OK = 0
@@ -22,15 +23,15 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CERTIFY = 3
 
-_CERTIFY_CHECKS = ("kappa", "cs", "l2w2", "crucial", "decorrelation")
-
-# default scan settings for `contamix certify`
-_CERTIFY_DEFAULTS = {
-    "kappa": dict(M=3.0, steps=300),
-    "cs": dict(range_=5.0, steps=100, diagonal_margin=0.2),
-    "l2w2": dict(lambda_steps=9, mu_range=3.0, mu_steps=12),
-    "crucial": dict(lambda_steps=9, mu_range=3.0, mu_steps=12),
-    "decorrelation": dict(a_values=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0)),
+# `contamix certify`: check -> (certify function, its default scan settings).
+# The function is looked up by name when the scan runs, so a wrapped
+# ``certify.scan_*`` attribute is the one called.
+_CERTIFY = {
+    "kappa": ("scan_kappa", dict(M=3.0, steps=300)),
+    "cs": ("scan_cs_ratio", dict(range_=5.0, steps=100, diagonal_margin=0.2)),
+    "l2w2": ("scan_l2w2", dict(lambda_steps=9, mu_range=3.0, mu_steps=12)),
+    "crucial": ("scan_crucial_inequality", dict(lambda_steps=9, mu_range=3.0, mu_steps=12)),
+    "decorrelation": ("decorrelation_profile", dict(a_values=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0))),
 }
 
 
@@ -69,9 +70,12 @@ def _build_kernel(args) -> Kernel:
 
 def _parse_vector(text: str, flag: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        vec = np.array([float(v) for v in text.split(",")])
     except ValueError as exc:
         raise _UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise _UsageError(f"{flag}: expected finite numbers, got {text!r}")
+    return vec
 
 
 def _read_data(path: str, dim: int) -> np.ndarray:
@@ -141,8 +145,8 @@ def _cmd_wasserstein(args) -> int:
     mu2 = _parse_vector(args.mu2, "--mu2")
     if mu1.shape != mu2.shape:
         raise _UsageError(f"--mu1 and --mu2 have different dimensions ({mu1.size} vs {mu2.size})")
-    g1 = MixingDistribution(args.lambda1, mu1)
-    g2 = MixingDistribution(args.lambda2, mu2)
+    g1 = MixtureParams(args.lambda1, mu1)
+    g2 = MixtureParams(args.lambda2, mu2)
     if args.p == 1:
         print(f"w1={_fmt(w1(g1, g2))}")
     else:
@@ -159,16 +163,8 @@ def _cmd_inner_product(args) -> int:
 
 
 def _run_scan(kernel: Kernel, check: str):
-    kw = _CERTIFY_DEFAULTS[check]
-    if check == "kappa":
-        return certify_mod.scan_kappa(kernel, **kw)
-    if check == "cs":
-        return certify_mod.scan_cs_ratio(kernel, **kw)
-    if check == "l2w2":
-        return certify_mod.scan_l2w2(kernel, **kw)
-    if check == "crucial":
-        return certify_mod.scan_crucial_inequality(kernel, **kw)
-    return certify_mod.decorrelation_profile(kernel, kw["a_values"])
+    name, kw = _CERTIFY[check]
+    return getattr(certify_mod, name)(kernel, **kw)
 
 
 def _cmd_certify(args) -> int:
@@ -244,7 +240,7 @@ def _make_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="run a numerical certification scan")
     add_kernel_flags(p)
-    p.add_argument("--check", required=True, choices=_CERTIFY_CHECKS)
+    p.add_argument("--check", required=True, choices=tuple(_CERTIFY))
     p.add_argument("--out", default=None, help="optional CSV of the scanned surface")
     p.set_defaults(func=_cmd_certify)
     return parser

@@ -55,13 +55,11 @@ families, d > 1 and explicit ``inner_products`` use that direct path.
 """
 
 from dataclasses import dataclass
-import functools
 import math
-import threading
 
 import numpy as np
 
-from .kernels import Kernel, QuadratureSpec, cross_inner_many, pdf_many, self_inner
+from .kernels import Kernel, QuadratureSpec, cross_inner_many, memo, pdf_many, self_inner
 from .mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf_many
 
 __all__ = [
@@ -168,25 +166,19 @@ def build_grid(n: int, M: float, d: int = 1) -> Grid:
 
 
 # Per-grid inner products depend only on (kernel, grid), not on the data, so
-# they are shared across replicates.  The lock makes each key fill once even
-# when worker threads ask for it together.
+# they are shared across replicates (and filled once, see ``kernels.memo``).
 _INNER_CACHE: dict[tuple, np.ndarray] = {}
-_INNER_LOCK = threading.Lock()
 
 
 def _grid_inner_products(
     kernel: Kernel, grid: Grid, quadrature: QuadratureSpec | None = None
 ) -> np.ndarray:
-    key = (kernel, grid.n, grid.M, grid.dim, quadrature)
-    hit = _INNER_CACHE.get(key)
-    if hit is None:
-        with _INNER_LOCK:
-            hit = _INNER_CACHE.get(key)
-            if hit is None:
-                hit = cross_inner_many(kernel, grid.mu_levels, quadrature)
-                hit.setflags(write=False)
-                _INNER_CACHE[key] = hit
-    return hit
+    def fill():
+        vals = cross_inner_many(kernel, grid.mu_levels, quadrature)
+        vals.setflags(write=False)
+        return vals
+
+    return memo(_INNER_CACHE, (kernel, grid.n, grid.M, grid.dim, quadrature), fill, 16)
 
 
 def _require_finite(data: np.ndarray) -> None:
@@ -324,7 +316,9 @@ class _LatticePlan:
     table_err: np.ndarray  # (P,): bound on the rounding of one entry of E_p
 
 
-@functools.lru_cache(maxsize=4)
+_LATTICE_PLANS: dict[tuple, _LatticePlan] = {}
+
+
 def _lattice_plan(n: int, k_max: int) -> _LatticePlan:
     root = math.sqrt(n)
     h = 1.0 / root
@@ -368,7 +362,7 @@ def _lattice_shift_sums(grid: Grid, data: np.ndarray) -> tuple[np.ndarray, float
     """
     n = data.shape[0]
     k_max = grid.mu_levels.shape[0] // 2
-    plan = _lattice_plan(grid.n, k_max)
+    plan = memo(_LATTICE_PLANS, (grid.n, k_max), lambda: _lattice_plan(grid.n, k_max), 4)
     bins = plan.bins
     near = data[np.abs(data) <= bins * plan.h]
     b = np.rint(near * plan.root)

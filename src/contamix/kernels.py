@@ -21,6 +21,7 @@ strictly one-dimensional here.
 
 from dataclasses import dataclass
 import math
+import threading
 
 import numpy as np
 from scipy.special import erfc
@@ -64,8 +65,8 @@ class Kernel:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if self.family == "skew_gaussian":
-            if self.alpha is None or self.alpha == 0.0:
-                raise ValueError("skew_gaussian requires a nonzero alpha")
+            if self.alpha is None or self.alpha == 0.0 or not math.isfinite(self.alpha):
+                raise ValueError("skew_gaussian requires a finite nonzero alpha")
         elif self.alpha is not None:
             raise ValueError(f"alpha is only meaningful for skew_gaussian, got {self.family}")
         if self.dim < 1:
@@ -137,15 +138,24 @@ def pdf(kernel: Kernel, x) -> float:
 # ----------------------------- inner products -----------------------------
 
 
+def _gaussian_cross(sq, exp, dim: int = 1):
+    """Gaussian ``<phi, phi_mu>`` from the squared shift norm ``sq``."""
+    return (4.0 * math.pi) ** (-dim / 2.0) * exp(-sq / 4.0)
+
+
+# Closed forms of <phi, phi_m> for a 1-d shift m.  ``exp`` is math.exp for a
+# float and np.exp for an array: the two differ in the last bit on some
+# inputs, and pinned outputs depend on which one each path uses.
+_CROSS = {
+    "gaussian": lambda m, exp: _gaussian_cross(m * m, exp),
+    "laplace": lambda m, exp: 0.25 * exp(-abs(m)) * (1.0 + abs(m)),
+    "cauchy": lambda m, exp: 2.0 / (math.pi * (4.0 + m * m)),
+}
+
+
 def self_inner(kernel: Kernel) -> float:
-    """Squared L2 norm of the density, ``<phi, phi>``."""
-    if kernel.family == "gaussian":
-        return (4.0 * math.pi) ** (-kernel.dim / 2.0)
-    if kernel.family == "laplace":
-        return 0.25
-    if kernel.family == "cauchy":
-        return 1.0 / (2.0 * math.pi)
-    return cross_inner(kernel, 0.0)
+    """Squared L2 norm of the density, ``<phi, phi>``: ``cross_inner`` at shift 0."""
+    return cross_inner(kernel, np.zeros(kernel.dim) if kernel.dim > 1 else 0.0)
 
 
 def _skew_cross_quadrature(kernel: Kernel, mu: float, spec: QuadratureSpec) -> float:
@@ -166,9 +176,31 @@ def _skew_cross_quadrature(kernel: Kernel, mu: float, spec: QuadratureSpec) -> f
     return float(np.dot(w, vals) * (h / 3.0))
 
 
-# Memo for skew-Gaussian quadrature results.  Fills are idempotent (pure
-# function of the key), so concurrent access under the GIL is safe.
+# The one cache policy of the package: module-level dict stores, filled once
+# per key under one reentrant lock (a skew grid fill runs skew quadrature
+# fills), each bounded by evicting its oldest entry.
+_MEMO_LOCK = threading.RLock()
+
+
+def memo(store: dict, key, fill, limit: int):
+    """``store[key]``, computed by ``fill()`` on a miss; the store keeps at
+    most ``limit`` entries."""
+    hit = store.get(key)
+    if hit is not None:
+        return hit
+    with _MEMO_LOCK:
+        hit = store.get(key)
+        if hit is None:
+            hit = fill()
+            while len(store) >= limit:
+                del store[next(iter(store))]
+            store[key] = hit
+    return hit
+
+
+# Skew-Gaussian quadrature results, keyed on (alpha, shift, window, panels).
 _SKEW_CACHE: dict[tuple, float] = {}
+_SKEW_LIMIT = 1 << 14
 
 
 def cross_inner(kernel: Kernel, mu, quadrature: QuadratureSpec | None = None) -> float:
@@ -178,27 +210,23 @@ def cross_inner(kernel: Kernel, mu, quadrature: QuadratureSpec | None = None) ->
     quadrature for skew_gaussian (``quadrature`` overrides the family default
     there and is ignored for the closed-form families).
     """
-    mu = np.asarray(mu, dtype=float)
     if kernel.dim > 1:
+        mu = np.asarray(mu, dtype=float)
         if mu.shape != (kernel.dim,):
             raise ValueError(f"shift shape {mu.shape} does not match kernel dim {kernel.dim}")
-        return (4.0 * math.pi) ** (-kernel.dim / 2.0) * math.exp(-float(np.dot(mu, mu)) / 4.0)
-    if mu.size != 1:
-        raise ValueError(f"expected a scalar shift for dim 1, got shape {mu.shape}")
-    m = float(mu.reshape(()))
-    if kernel.family == "gaussian":
-        return (4.0 * math.pi) ** -0.5 * math.exp(-m * m / 4.0)
-    if kernel.family == "laplace":
-        return 0.25 * math.exp(-abs(m)) * (1.0 + abs(m))
-    if kernel.family == "cauchy":
-        return 2.0 / (math.pi * (4.0 + m * m))
+        return _gaussian_cross(float(np.dot(mu, mu)), math.exp, kernel.dim)
+    if isinstance(mu, float):
+        m = float(mu)
+    else:
+        mu = np.asarray(mu, dtype=float)
+        if mu.size != 1:
+            raise ValueError(f"expected a scalar shift for dim 1, got shape {mu.shape}")
+        m = float(mu.reshape(()))
+    if kernel.family in _CROSS:
+        return _CROSS[kernel.family](m, math.exp)
     spec = quadrature if quadrature is not None else default_quadrature(kernel)
     key = (kernel.alpha, m, spec.half_width, spec.panels)
-    hit = _SKEW_CACHE.get(key)
-    if hit is None:
-        hit = _skew_cross_quadrature(kernel, m, spec)
-        _SKEW_CACHE[key] = hit
-    return hit
+    return memo(_SKEW_CACHE, key, lambda: _skew_cross_quadrature(kernel, m, spec), _SKEW_LIMIT)
 
 
 def cross_inner_many(kernel: Kernel, mus, quadrature: QuadratureSpec | None = None) -> np.ndarray:
@@ -207,16 +235,10 @@ def cross_inner_many(kernel: Kernel, mus, quadrature: QuadratureSpec | None = No
     if kernel.dim > 1:
         if mus.ndim != 2 or mus.shape[1] != kernel.dim:
             raise ValueError(f"expected shifts of shape (m, {kernel.dim}), got {mus.shape}")
-        sq = np.sum(np.square(mus), axis=1)
-        return (4.0 * math.pi) ** (-kernel.dim / 2.0) * np.exp(-sq / 4.0)
+        return _gaussian_cross(np.sum(np.square(mus), axis=1), np.exp, kernel.dim)
     mus = np.atleast_1d(mus)
-    if kernel.family == "gaussian":
-        return (4.0 * math.pi) ** -0.5 * np.exp(-np.square(mus) / 4.0)
-    if kernel.family == "laplace":
-        a = np.abs(mus)
-        return 0.25 * np.exp(-a) * (1.0 + a)
-    if kernel.family == "cauchy":
-        return 2.0 / (math.pi * (4.0 + np.square(mus)))
+    if kernel.family in _CROSS:
+        return _CROSS[kernel.family](mus, np.exp)
     return np.array([cross_inner(kernel, m, quadrature) for m in mus])
 
 

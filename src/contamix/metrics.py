@@ -1,7 +1,9 @@
 """Transport distances between two-point mixing distributions.
 
 A contamination mixture is parametrized by the mixing distribution
-G = (1 - lam) delta_0 + lam delta_mu.  Between two such measures the optimal
+G = (1 - lam) delta_0 + lam delta_mu.  G holds exactly the data of
+``MixtureParams(lam, mu)``, so it is a ``MixtureParams``; ``MixingDistribution``
+is another name for that type.  Between two such measures the optimal
 coupling has a single free mass q22 (how much of the shifted atom travels to
 the other shifted atom), constrained to [max(lam + lam' - 1, 0), lam] once
 lam <= lam'.  The transport cost is affine in q22, so W_p^p is attained at a
@@ -10,7 +12,6 @@ serves as the independent check of the closed forms used by ``w2_squared``
 and ``w1``.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -27,24 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MixingDistribution:
-    """Two-point measure (1 - lam) delta_0 + lam delta_mu, lam in [0, 1]."""
-
-    lam: float
-    mu: np.ndarray
-
-    def __init__(self, lam: float, mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        if not (0.0 <= lam <= 1.0):
-            raise ValueError(f"lam must lie in [0, 1], got {lam}")
-        object.__setattr__(self, "lam", float(lam))
-        object.__setattr__(self, "mu", mu)
-        self.mu.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
+MixingDistribution = MixtureParams
 
 
 def _ordered(g1: MixingDistribution, g2: MixingDistribution):
@@ -120,9 +104,7 @@ def l2_over_w2sq_ratio(
     raises instead of returning a value.
     """
     dist = math.sqrt(l2_distance_sq(kernel, theta1, theta2))
-    g1 = MixingDistribution(theta1.lam, theta1.mu)
-    g2 = MixingDistribution(theta2.lam, theta2.mu)
-    w2 = w2_squared(g1, g2)
+    w2 = w2_squared(theta1, theta2)
     if w2 == 0.0:
         if dist <= 1e-12:
             return math.inf

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .estimator import build_grid, estimate
-from .kernels import Kernel, mc_inner
+from .kernels import Kernel, mc_inner, memo
 from .mixture import MixtureParams, sample_mixture
 
 __all__ = [
@@ -174,15 +174,13 @@ def replicate_seed(master_seed: int, nu_index: int, rep_index: int) -> int:
 
 # ----------------------------- execution -----------------------------
 
-# Monte-Carlo inner products for a grid, in fidelity mode.  Keyed per
-# (kernel, n, M, master_seed); fills are idempotent.
+# Monte-Carlo inner products for a grid, in fidelity mode, keyed per
+# (kernel, n, M, master_seed).
 _MC_INNER_CACHE: dict[tuple, np.ndarray] = {}
 
 
 def _mc_inner_products(config: ExperimentConfig, n: int) -> np.ndarray:
-    key = (config.kernel, n, config.M, config.master_seed)
-    hit = _MC_INNER_CACHE.get(key)
-    if hit is None:
+    def fill():
         grid = build_grid(n, config.M, 1)
         draws = min(n * n, MC_DRAWS_CAP)
         base = _mix64(config.master_seed, 0x4D43)  # dedicated stream for inner products
@@ -193,9 +191,9 @@ def _mc_inner_products(config: ExperimentConfig, n: int) -> np.ndarray:
             ]
         )
         vals.setflags(write=False)
-        _MC_INNER_CACHE[key] = vals
-        hit = vals
-    return hit
+        return vals
+
+    return memo(_MC_INNER_CACHE, (config.kernel, n, config.M, config.master_seed), fill, 16)
 
 
 def run_replicate(config: ExperimentConfig, nu_index: int, rep_index: int):

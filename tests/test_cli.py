@@ -123,6 +123,15 @@ class TestWasserstein:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_shift_usage_error(self, value):
+        code, out, err = run_cli(
+            "wasserstein", "--lambda1", "0.2", "--mu1", value, "--lambda2", "0.3", "--mu2", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "--mu1" in err and "Traceback" not in err
+
     def test_vector_shifts(self):
         code, out, _ = run_cli(
             "wasserstein", "--lambda1", "0.2", "--mu1", "1,0,0", "--lambda2", "0.2", "--mu2", "1,0,0"
@@ -141,6 +150,12 @@ class TestInnerProduct:
         code, out, _ = run_cli("inner-product", "--kernel", "laplace", "--mu", "0")
         assert code == 0
         assert float(parse_kv(out)["inner_product"]) == 0.25
+
+    def test_non_finite_shift_usage_error(self):
+        code, out, err = run_cli("inner-product", "--kernel", "gaussian", "--mu", "nan")
+        assert code == 1
+        assert out == ""
+        assert "--mu" in err and "Traceback" not in err
 
     def test_matches_library(self):
         code, out, _ = run_cli(
@@ -173,6 +188,14 @@ class TestCertify:
     def test_unknown_check_usage_error(self):
         code, _, _ = run_cli("certify", "--kernel", "gaussian", "--check", "everything")
         assert code == 1
+
+    def test_non_finite_alpha_usage_error(self):
+        code, out, err = run_cli(
+            "certify", "--kernel", "skew_gaussian", "--alpha", "nan", "--check", "kappa"
+        )
+        assert code == 1
+        assert out == ""
+        assert "alpha" in err and "Traceback" not in err
 
 
 class TestSimulate:

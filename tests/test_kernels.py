@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from contamix import kernels
 from contamix.kernels import (
     Kernel,
     QuadratureSpec,
@@ -52,6 +56,11 @@ class TestValidation:
             Kernel("skew_gaussian")
         with pytest.raises(ValueError):
             Kernel("skew_gaussian", alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_skew_needs_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            Kernel("skew_gaussian", alpha=alpha)
 
     def test_alpha_rejected_elsewhere(self):
         with pytest.raises(ValueError):
@@ -160,6 +169,57 @@ class TestCrossInner:
     @settings(max_examples=100, deadline=None)
     def test_bounded_by_self_inner(self, mu):
         assert cross_inner(GAUSS, mu) <= self_inner(GAUSS) + 1e-15
+
+
+class TestMemo:
+    def test_threads_fill_each_key_once(self):
+        # more threads than cores and a short switch interval, so a
+        # check-then-fill race shows as a repeated fill or a crossed value
+        store, fills, bad = {}, [], []
+
+        def fill_for(key):
+            def fill():
+                fills.append(key)
+                time.sleep(0.001)  # slow, as a grid fill is
+                return ("value", key)
+            return fill
+
+        def worker(seed):
+            for key in np.random.default_rng(seed).permutation(64).tolist():
+                got = kernels.memo(store, key, fill_for(key), 64)
+                if got != ("value", key):
+                    bad.append((key, got))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert bad == []
+        assert sorted(fills) == list(range(64))
+        assert len(store) == 64
+
+
+class TestSkewMemo:
+    def test_bounded_and_evicted_shift_refills_same_bits(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_SKEW_CACHE", {})
+        monkeypatch.setattr(kernels, "_SKEW_LIMIT", 8)
+        shifts = [0.1 * (j + 1) for j in range(20)]
+        first = []
+        for mu in shifts:
+            first.append(cross_inner(SKEW, mu))
+            assert len(kernels._SKEW_CACHE) <= 8
+        assert len(kernels._SKEW_CACHE) == 8
+        assert all(key[1] != shifts[0] for key in kernels._SKEW_CACHE)  # evicted first
+        again = cross_inner(SKEW, shifts[0])
+        assert np.float64(again).tobytes() == np.float64(first[0]).tobytes()
+        assert len(kernels._SKEW_CACHE) == 8
 
 
 class TestMcInner:

@@ -1,5 +1,7 @@
 import csv
 import math
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +251,39 @@ class TestMcFidelity:
         exact = cross_inner_many(skew, build_grid(64, 2.0, 1).mu_levels)
         # T = 64^2 draws per shift: SE is a few 1e-3
         assert float(np.max(np.abs(vals - exact))) < 0.05
+
+    def test_concurrent_fill_runs_once(self, monkeypatch):
+        from contamix import simharness
+
+        calls = []
+        real = simharness.mc_inner
+
+        def slow_mc_inner(*args, **kwargs):
+            calls.append(threading.get_ident())
+            time.sleep(0.005)  # widen the window in which other threads arrive
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simharness, "mc_inner", slow_mc_inner)
+        monkeypatch.setattr(simharness, "_MC_INNER_CACHE", {})
+        cfg = ExperimentConfig(
+            kernel=Kernel("skew_gaussian", alpha=10.0), n=16, lambda_star=0.25,
+            nu_values=(1.0,), M=1.0, replicates=1, master_seed=3, inner_method="mc",
+        )
+        barrier = threading.Barrier(4)
+        got = []
+
+        def worker():
+            barrier.wait()
+            got.append(simharness._mc_inner_products(cfg, 16))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert len(calls) == 8  # one per mu level: 2 k_max = 2 floor(1 * sqrt(16))
+        assert len(got) == 4 and all(a is got[0] for a in got)
 
     def test_mc_flag_ignored_for_closed_forms(self):
         cfg_mc = small_config(inner_method="mc")
