@@ -210,18 +210,14 @@ def cross_inner(kernel: Kernel, mu, quadrature: QuadratureSpec | None = None) ->
     quadrature for skew_gaussian (``quadrature`` overrides the family default
     there and is ignored for the closed-form families).
     """
+    mu = np.asarray(mu, dtype=float)
     if kernel.dim > 1:
-        mu = np.asarray(mu, dtype=float)
         if mu.shape != (kernel.dim,):
             raise ValueError(f"shift shape {mu.shape} does not match kernel dim {kernel.dim}")
         return _gaussian_cross(float(np.dot(mu, mu)), math.exp, kernel.dim)
-    if isinstance(mu, float):
-        m = float(mu)
-    else:
-        mu = np.asarray(mu, dtype=float)
-        if mu.size != 1:
-            raise ValueError(f"expected a scalar shift for dim 1, got shape {mu.shape}")
-        m = float(mu.reshape(()))
+    if mu.size != 1:
+        raise ValueError(f"expected a scalar shift for dim 1, got shape {mu.shape}")
+    m = float(mu.reshape(()))
     if kernel.family in _CROSS:
         return _CROSS[kernel.family](m, math.exp)
     spec = quadrature if quadrature is not None else default_quadrature(kernel)
