@@ -25,6 +25,7 @@ tightness claim.
 """
 
 from dataclasses import dataclass, field
+import itertools
 import math
 
 import numpy as np
@@ -185,14 +186,42 @@ def scan_cs_ratio(
     )
 
 
-def _theta_grid(lambda_steps: int, mu_range: float, mu_steps: int, mu_min: float):
+def _pair_scan(
+    check_name, kernel, lambda_steps, mu_range, mu_steps, mu_min, pairs, ratio, details
+) -> ScanReport:
+    """Minimum of ``ratio(p, q)`` over ``pairs(points)`` of the (lambda, mu) grid.
+
+    Each grid point is a (lam, mu, MixtureParams) triple built once per scan;
+    ``pairs`` yields point pairs lazily and ``details(surface, minimum)`` gives
+    the report's details.  Passes when the minimum is positive.
+    """
     if lambda_steps < 2 or mu_steps < 2:
         raise ValueError("need at least 2 lambda and mu steps")
     if not 0.0 < mu_min < mu_range:
         raise ValueError("need 0 < mu_min < mu_range")
-    lams = np.linspace(0.1, 0.9, lambda_steps)
-    mus = np.linspace(mu_min, mu_range, mu_steps)
-    return [(float(l), float(m)) for l in lams for m in mus]
+    points = [
+        (lam, mu, MixtureParams(lam, mu))
+        for lam in map(float, np.linspace(0.1, 0.9, lambda_steps))
+        for mu in map(float, np.linspace(mu_min, mu_range, mu_steps))
+    ]
+    rows = ((p[0], p[1], q[0], q[1], ratio(p, q)) for p, q in pairs(points))
+    surface = np.fromiter(rows, dtype=(float, 5))
+    k = int(np.argmin(surface[:, 4]))
+    best = float(surface[k, 4])
+    return ScanReport(
+        check_name=check_name,
+        kernel=kernel,
+        grid_spec=dict(
+            lambda_steps=lambda_steps, mu_range=float(mu_range), mu_steps=mu_steps, mu_min=float(mu_min)
+        ),
+        extremal_value=best,
+        extremal_point=tuple(float(v) for v in surface[k, :4]),
+        passed=best > 0.0,
+        tolerance=0.0,
+        details=details(surface, best),
+        surface_columns=("lam1", "mu1", "lam2", "mu2", "ratio"),
+        surface=surface,
+    )
 
 
 def scan_l2w2(
@@ -212,41 +241,24 @@ def scan_l2w2(
     """
     if kernel.dim != 1:
         raise ValueError("scan_l2w2 is defined for d = 1")
-    thetas = _theta_grid(lambda_steps, mu_range, mu_steps, mu_min)
 
-    def ratio(t1, t2) -> float:
-        g1, g2 = MixtureParams(*t1), MixtureParams(*t2)
-        return math.sqrt(l2_distance_sq(kernel, g1, g2, quadrature)) / w2_squared(g1, g2)
+    def pairs(points):
+        yield from itertools.combinations(points, 2)
+        for p in points:
+            lam, mu = p[0] + 1e-3, p[1] + 1e-3
+            yield p, (lam, mu, MixtureParams(lam, mu))
 
-    rows = []
-    for i, t1 in enumerate(thetas):
-        for t2 in thetas[i + 1 :]:
-            rows.append((t1[0], t1[1], t2[0], t2[1], ratio(t1, t2)))
-    near_max = -math.inf
-    for t1 in thetas:
-        t2 = (t1[0] + 1e-3, t1[1] + 1e-3)
-        r = ratio(t1, t2)
-        near_max = max(near_max, r)
-        rows.append((t1[0], t1[1], t2[0], t2[1], r))
-    surface = np.array(rows)
-    k = int(np.argmin(surface[:, 4]))
-    c_hat = float(surface[k, 4])
-    return ScanReport(
-        check_name="l2w2",
-        kernel=kernel,
-        grid_spec={
-            "lambda_steps": lambda_steps,
-            "mu_range": float(mu_range),
-            "mu_steps": mu_steps,
-            "mu_min": float(mu_min),
+    def ratio(p, q) -> float:
+        return math.sqrt(l2_distance_sq(kernel, p[2], q[2], quadrature)) / w2_squared(p[2], q[2])
+
+    near = lambda_steps * mu_steps
+    return _pair_scan(
+        "l2w2", kernel, lambda_steps, mu_range, mu_steps, mu_min, pairs, ratio,
+        lambda surface, best: {
+            "c_hat": best,
+            "near_diagonal_max": float(np.max(surface[-near:, 4])),
+            "pairs": surface.shape[0],
         },
-        extremal_value=c_hat,
-        extremal_point=tuple(float(v) for v in surface[k, :4]),
-        passed=c_hat > 0.0,
-        tolerance=0.0,
-        details={"c_hat": c_hat, "near_diagonal_max": near_max, "pairs": surface.shape[0]},
-        surface_columns=("lam1", "mu1", "lam2", "mu2", "ratio"),
-        surface=surface,
     )
 
 
@@ -270,36 +282,16 @@ def scan_crucial_inequality(
     """
     if kernel.dim != 1:
         raise ValueError("scan_crucial_inequality is defined for d = 1")
-    thetas = _theta_grid(lambda_steps, mu_range, mu_steps, mu_min)
-    rows = []
-    for t1 in thetas:
-        for t2 in thetas:
-            if t1 == t2:
-                continue
-            l1, m1 = t1
-            l2, m2 = t2
-            d2 = l2_distance_sq(kernel, MixtureParams(l1, m1), MixtureParams(l2, m2), quadrature)
-            den = (l1 - l2) ** 2 * m1 * m1 * m2 * m2 + l2 * l2 * m2 * m2 * (m1 - m2) ** 2
-            rows.append((l1, m1, l2, m2, d2 / den))
-    surface = np.array(rows)
-    k = int(np.argmin(surface[:, 4]))
-    best = float(surface[k, 4])
-    return ScanReport(
-        check_name="crucial",
-        kernel=kernel,
-        grid_spec={
-            "lambda_steps": lambda_steps,
-            "mu_range": float(mu_range),
-            "mu_steps": mu_steps,
-            "mu_min": float(mu_min),
-        },
-        extremal_value=best,
-        extremal_point=tuple(float(v) for v in surface[k, :4]),
-        passed=best > 0.0,
-        tolerance=0.0,
-        details={"min_ratio": best, "pairs": surface.shape[0]},
-        surface_columns=("lam1", "mu1", "lam2", "mu2", "ratio"),
-        surface=surface,
+
+    def ratio(p, q) -> float:
+        (l1, m1, g1), (l2, m2, g2) = p, q
+        den = (l1 - l2) ** 2 * m1 * m1 * m2 * m2 + l2 * l2 * m2 * m2 * (m1 - m2) ** 2
+        return l2_distance_sq(kernel, g1, g2, quadrature) / den
+
+    return _pair_scan(
+        "crucial", kernel, lambda_steps, mu_range, mu_steps, mu_min,
+        lambda points: itertools.permutations(points, 2), ratio,
+        lambda surface, best: {"min_ratio": best, "pairs": surface.shape[0]},
     )
 
 

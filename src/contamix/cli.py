@@ -102,8 +102,8 @@ def _read_data(path: str, dim: int) -> np.ndarray:
 
 
 def _cmd_estimate(args) -> int:
-    if args.bound_m <= 0:
-        raise _UsageError("--bound-m must be positive")
+    if not 0.0 < args.bound_m < np.inf:
+        raise _UsageError("--bound-m must be positive and finite")
     kernel = _build_kernel(args)
     data = _read_data(args.data, kernel.dim)
     try:

@@ -59,7 +59,7 @@ import math
 
 import numpy as np
 
-from .kernels import Kernel, QuadratureSpec, cross_inner_many, memo, pdf_many, self_inner
+from .kernels import Kernel, cross_inner_many, memo, pdf_many, self_inner
 from .mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf_many
 
 __all__ = [
@@ -137,8 +137,8 @@ def build_grid(n: int, M: float, d: int = 1) -> Grid:
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    if M <= 0:
-        raise ValueError("M must be positive")
+    if not 0.0 < M < math.inf:
+        raise ValueError(f"M must be positive and finite, got {M}")
     if d < 1:
         raise ValueError("d must be a positive integer")
     root = math.sqrt(n)
@@ -170,15 +170,13 @@ def build_grid(n: int, M: float, d: int = 1) -> Grid:
 _INNER_CACHE: dict[tuple, np.ndarray] = {}
 
 
-def _grid_inner_products(
-    kernel: Kernel, grid: Grid, quadrature: QuadratureSpec | None = None
-) -> np.ndarray:
+def _grid_inner_products(kernel: Kernel, grid: Grid) -> np.ndarray:
     def fill():
-        vals = cross_inner_many(kernel, grid.mu_levels, quadrature)
+        vals = cross_inner_many(kernel, grid.mu_levels)
         vals.setflags(write=False)
         return vals
 
-    return memo(_INNER_CACHE, (kernel, grid.n, grid.M, grid.dim, quadrature), fill, 16)
+    return memo(_INNER_CACHE, (kernel, grid.n, grid.M, grid.dim), fill, 16)
 
 
 def _require_finite(data: np.ndarray) -> None:
@@ -190,7 +188,6 @@ def precompute(
     kernel: Kernel,
     grid: Grid,
     data: np.ndarray,
-    quadrature: QuadratureSpec | None = None,
     inner_products: np.ndarray | None = None,
 ) -> ContrastTable:
     """Fill the ContrastTable for a dataset.
@@ -216,7 +213,7 @@ def precompute(
 
     q = grid.mu_levels.shape[0]
     if inner_products is None:
-        inner_products = _grid_inner_products(kernel, grid, quadrature)
+        inner_products = _grid_inner_products(kernel, grid)
     else:
         inner_products = np.asarray(inner_products, dtype=float)
         if inner_products.shape != (q,):
@@ -397,14 +394,12 @@ def _lattice_shift_sums(grid: Grid, data: np.ndarray) -> tuple[np.ndarray, float
     return sums, eps
 
 
-def _certified_scan(
-    kernel: Kernel, grid: Grid, data: np.ndarray, quadrature: QuadratureSpec | None
-) -> tuple[float, int, int]:
+def _certified_scan(kernel: Kernel, grid: Grid, data: np.ndarray) -> tuple[float, int, int]:
     """``_scan_table(grid, precompute(...))`` for the 1-d Gaussian, bit for bit,
     with lattice-transform sums and an exact recompute of the candidate columns."""
     n = data.shape[0]
     sums, eps = _lattice_shift_sums(grid, data)
-    inner = _grid_inner_products(kernel, grid, quadrature)
+    inner = _grid_inner_products(kernel, grid)
     approx = ContrastTable(
         s0=float(np.sum(pdf_many(kernel, data))),
         shift_sums=sums,
@@ -428,7 +423,6 @@ def estimate(
     kernel: Kernel,
     data: np.ndarray,
     M: float,
-    quadrature: QuadratureSpec | None = None,
     inner_products: np.ndarray | None = None,
 ) -> EstimateResult:
     """Minimize the contrast over the grid built for n = len(data) and bound M.
@@ -441,9 +435,9 @@ def estimate(
     n = data.shape[0]
     grid = build_grid(n, M, kernel.dim)
     if kernel.family == "gaussian" and kernel.dim == 1 and data.ndim == 1 and inner_products is None:
-        val, i, j = _certified_scan(kernel, grid, data, quadrature)
+        val, i, j = _certified_scan(kernel, grid, data)
     else:
-        val, i, j = _scan_table(grid, precompute(kernel, grid, data, quadrature, inner_products))
+        val, i, j = _scan_table(grid, precompute(kernel, grid, data, inner_products))
     mu_hat = np.atleast_1d(np.asarray(grid.mu_levels[j], dtype=float)).copy()
     return EstimateResult(
         lambda_hat=float(grid.lambda_levels[i]),

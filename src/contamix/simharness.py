@@ -111,10 +111,13 @@ class ExperimentConfig:
         return math.sqrt(1.0 / (self.lambda_star * n ** nu))
 
     def cells(self):
-        """(index, nu, n) triples; cells vary over nu or over n depending on mode."""
+        """(index, nu, n) triples; cells vary over nu or over n depending on mode.
+
+        In rate_scaling mode nu is 0.0 when ``mu_star_override`` fixes the shift.
+        """
         if self.mode == "phase_transition":
             return [(i, float(nu), self.n) for i, nu in enumerate(self.nu_values)]
-        nu = float(self.nu_values[0]) if self.nu_values else 0.0
+        nu = 0.0 if self.mu_star_override is not None else float(self.nu_values[0])
         return [(i, nu, int(n)) for i, n in enumerate(self.n_values)]
 
     def cell_key(self, nu: float, n: int) -> float:
@@ -251,7 +254,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         mu_hats = np.array([estimates[ci * reps + ri][1] for ri in range(reps)])
         rows.append(
             SummaryRow(
-                nu=nu if config.mu_star_override is None else 0.0,
+                nu=nu,
                 mu_star=mu_star,
                 n=n,
                 replicates=reps,
@@ -259,7 +262,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
                 mse_mu=float(np.mean((mu_hats - mu_star) ** 2)),
             )
         )
-        key = config.cell_key(nu if config.mu_star_override is None else 0.0, n)
+        key = config.cell_key(nu, n)
         for ri in range(reps):
             raw.append((key, ri, float(lam_hats[ri]), float(mu_hats[ri])))
     key_name = "nu" if config.mode == "phase_transition" else "n"

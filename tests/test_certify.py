@@ -11,6 +11,8 @@ from contamix.certify import (
     scan_l2w2,
 )
 from contamix.kernels import Kernel, QuadratureSpec, cross_inner, self_inner
+from contamix.metrics import w2_squared
+from contamix.mixture import MixtureParams, l2_distance_sq
 
 GAUSS = Kernel("gaussian")
 CAUCHY = Kernel("cauchy")
@@ -128,6 +130,58 @@ class TestL2W2:
         rep = scan_l2w2(GAUSS, 5, 3.0, 6)
         assert np.all(rep.surface[:, 4] > 0.0)
         assert np.all(np.isfinite(rep.surface[:, 4]))
+
+
+def reference_pair_scan(kernel, check, lambda_steps, mu_range, mu_steps, mu_min=0.25):
+    """The l2w2 and crucial pair loops written out, with fresh MixtureParams per pair.
+
+    Returns (surface, extremal_point, extremal_value, details).
+    """
+    lams = np.linspace(0.1, 0.9, lambda_steps)
+    mus = np.linspace(mu_min, mu_range, mu_steps)
+    thetas = [(float(l), float(m)) for l in lams for m in mus]
+    rows = []
+    if check == "l2w2":
+        def ratio(t1, t2):
+            g1, g2 = MixtureParams(*t1), MixtureParams(*t2)
+            return math.sqrt(l2_distance_sq(kernel, g1, g2)) / w2_squared(g1, g2)
+
+        for i, t1 in enumerate(thetas):
+            for t2 in thetas[i + 1 :]:
+                rows.append((t1[0], t1[1], t2[0], t2[1], ratio(t1, t2)))
+        near_max = -math.inf
+        for t1 in thetas:
+            t2 = (t1[0] + 1e-3, t1[1] + 1e-3)
+            r = ratio(t1, t2)
+            near_max = max(near_max, r)
+            rows.append((t1[0], t1[1], t2[0], t2[1], r))
+    else:
+        for l1, m1 in thetas:
+            for l2, m2 in thetas:
+                if (l1, m1) == (l2, m2):
+                    continue
+                d2 = l2_distance_sq(kernel, MixtureParams(l1, m1), MixtureParams(l2, m2))
+                den = (l1 - l2) ** 2 * m1 * m1 * m2 * m2 + l2 * l2 * m2 * m2 * (m1 - m2) ** 2
+                rows.append((l1, m1, l2, m2, d2 / den))
+    surface = np.array(rows)
+    k = int(np.argmin(surface[:, 4]))
+    best = float(surface[k, 4])
+    if check == "l2w2":
+        details = {"c_hat": best, "near_diagonal_max": near_max, "pairs": surface.shape[0]}
+    else:
+        details = {"min_ratio": best, "pairs": surface.shape[0]}
+    return surface, tuple(float(v) for v in surface[k, :4]), best, details
+
+
+@pytest.mark.parametrize("check, scan", [("l2w2", scan_l2w2), ("crucial", scan_crucial_inequality)])
+def test_pair_scans_match_reference_bitwise(any_kernel, check, scan):
+    surface, point, value, details = reference_pair_scan(any_kernel, check, 3, 2.0, 4)
+    rep = scan(any_kernel, 3, 2.0, 4)
+    assert rep.surface.shape == surface.shape and rep.surface.tobytes() == surface.tobytes()
+    assert rep.extremal_point == point
+    assert rep.extremal_value == value
+    assert rep.details == details
+    assert [type(v) for v in rep.details.values()] == [type(v) for v in details.values()]
 
 
 class TestCrucial:

@@ -82,6 +82,13 @@ class TestEstimate:
         code, _, _ = run_cli("estimate", "--kernel", "gaussian", "--data", str(path), "--bound-m", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("bound", ["inf", "nan"])
+    def test_non_finite_bound_usage_error(self, gaussian_fixture, bound):
+        path, _ = gaussian_fixture
+        code, out, err = run_cli("estimate", "--kernel", "gaussian", "--data", str(path), "--bound-m", bound)
+        assert code == 1
+        assert "--bound-m" in err and "Traceback" not in err and out == ""
+
     def test_missing_file(self):
         code, _, err = run_cli("estimate", "--kernel", "gaussian", "--data", "/no/such.csv", "--bound-m", "2")
         assert code == 2
@@ -225,6 +232,17 @@ class TestSimulate:
         code, _, err = run_cli("simulate", "--config", str(p), "--out", str(tmp_path / "o.csv"))
         assert code == 2
         assert "n=2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bound", ["inf", "nan"])
+    def test_non_finite_bound_is_config_error(self, tmp_path, bound):
+        p = tmp_path / "inf.config"
+        p.write_text(
+            "kernel = gaussian\nn = 100\nlambda_star = 0.25\nnu_values = 0.5\n"
+            f"M = {bound}\nreplicates = 2\nmaster_seed = 1\nmode = phase_transition\n"
+        )
+        code, _, err = run_cli("simulate", "--config", str(p), "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert "M must be positive and finite" in err and "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path):
         code, _, _ = run_cli("simulate", "--config", "/no/such.config", "--out", str(tmp_path / "o.csv"))

@@ -87,6 +87,11 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(4, 0.2, 1)  # M sqrt(n) < 1
 
+    @pytest.mark.parametrize("M", [math.inf, math.nan])
+    def test_non_finite_bound(self, M):
+        with pytest.raises(ValueError, match="M must be positive and finite"):
+            build_grid(100, M, 1)
+
 
 class TestPrecompute:
     def test_single_point_shift_sum(self):

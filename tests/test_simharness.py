@@ -125,6 +125,13 @@ class TestAggregation:
         assert res.key_name == "n"
         assert [r.n for r in res.rows] == [49, 100]
         assert all(r.mu_star == 1.5 for r in res.rows)
+        assert all(r.nu == 0.0 for r in res.rows)
+
+    def test_override_keeps_phase_transition_keys(self):
+        cfg = small_config(mu_star_override=1.5)
+        res = run_experiment(cfg)
+        assert [r.nu for r in res.rows] == [0.25, 0.5]
+        assert sorted({key for key, _, _, _ in res.raw}) == [0.25, 0.5]
 
 
 class TestCsv:
