@@ -16,48 +16,74 @@ order (lambda index major, mu index minor; mu levels run from -k_max/sqrt(n)
 up through -1/sqrt(n) then +1/sqrt(n) up to +k_max/sqrt(n), first coordinate
 slowest in d > 1), and ties go to the smallest index pair.
 
-Gaussian shift sums on the lattice.  In dimension 1 the mu levels are the
-lattice points k h, h = 1/sqrt(n), 1 <= |k| <= k_max, so for the Gaussian
-family ``estimate`` does not fill the O(n q) table.  Each sample within T = 12
-of some mu level is binned to its nearest lattice point, x = b h + r with
-|b| <= K = k_max + ceil(T sqrt(n)) + 1 and |r| <= h/2, so the bin array has a
-fixed size whatever the data; phi is Taylor-expanded about the bin centre:
+Shift sums on the lattice.  In dimension 1 the mu levels are the lattice
+points k h, h = 1/sqrt(n), 1 <= |k| <= k_max, so ``estimate`` does not fill
+the O(n q) table.  Each sample within a cutoff T of some mu level is binned
+to its nearest lattice point, x = b h + r with |b| <= K = k_max +
+ceil(T sqrt(n)) + 1 and |r| <= h/2, so the bin array has a fixed size
+whatever the data.  A family's lattice spec (``_LatticeSpec``) writes each
+binned sample's term as a sum over p < P of a weight w_p(r) times a table
+E_p((k - b) h), so with per-bin moments A_p[b] = sum w_p(r) (one
+``np.bincount`` each) the sums become S(k h) = sum_p sum_b A_p[b] E_p((k -
+b) h): P discrete convolutions, done with real FFTs.  For the Taylor
+families
 
-    phi(x - k h) = sum_{p < P} r^p / p! phi^(p)((b - k) h) + R_P.
+    phi(x - k h) = sum_{p < P} r^p / p! phi^(p)((b - k) h) + R_P,
 
-With per-bin moments A_p[b] = sum r^p / p! (one ``np.bincount`` each) the
-sums become S(k h) = sum_p sum_b A_p[b] phi^(p)((b - k) h), P = 8 discrete
-convolutions against the tables phi^(p)(m h) = (-1)^p He_p(m h) phi(m h),
-done with real FFTs.  The transform also returns an a-priori bound
-eps >= max_j |S~_j - S_j|, where S_j is the value ``precompute`` computes
-(u = 2^-53 is the unit roundoff).  eps is the sum of
+so w_p(r) = r^p / p! and E_p(t) = phi^(p)(-t).  The transform also returns
+an a-priori bound eps >= max_j |S~_j - S_j|, where S_j is the value
+``precompute`` computes (u = 2^-53 is the unit roundoff).  Every family's
+eps holds
 
-* the Taylor remainder: by Cramer's bound |He_P(t)| e^{-t^2/4} <= 1.086435
-  sqrt(P!), |R_P| <= 1.086435 r_max^P / sqrt(2 pi P!) per binned sample;
-* the samples farther than T from every mu level, which are not binned and
-  add at most phi(T) each;
 * the rounding of the lattice offsets r and m h and of the mu levels, a shift
-  of at most 8 u (K + k_max + 1) h per sample against |phi'| <= 1/4;
-* the rounding in the moments and in the He_p phi tables;
+  of at most 8 u (K + k_max + 1) h per sample against a bound on |phi'|;
+* the rounding in the moments and in the tables;
 * FFT round-off, (14 log2 L + P + 4) u (||A_p||_2 ||E_p||_1 + ||A_p||_1
-  ||E_p||_2) summed over p, for the tables E_p = He_p phi and FFT length L;
-* the rounding of the direct sum itself, u (0.5 n + (n + 6) max_j S_j).
+  ||E_p||_2) summed over p, for FFT length L;
+* the rounding of the direct sum itself, u (c n + (n + c') max_j S_j), with
+  c and c' bounding the rounding of the family's pdf;
 
-At n = 5000 eps is about 3e-9.  The certified scan evaluates the contrast
-from the approximate sums, whose error is at most delta = (2/n) eps plus the
-rounding slack of the two evaluations.  Every mu column whose minimum over
-lambda lies within 2 delta of the global minimum may hold the exact minimum
+and its own terms:
+
+* Gaussian (P = 8, T = 12): E_p = He_p phi.  By Cramer's bound |He_P(t)|
+  e^{-t^2/4} <= 1.086435 sqrt(P!), |R_P| <= 1.086435 r_max^P / sqrt(2 pi P!)
+  per binned sample; each sample farther than T from every level adds at
+  most phi(T).
+* Laplace (exact, T = 40): for b != k, exp(-|x - k h|) = exp(-|b - k| h)
+  exp(-+r), so the weights are e^-r, e^r and e^-|r| against the one-sided
+  tables e^{-|t|}/2 for t < 0 and t > 0 and the b = k term.  There is no
+  remainder; a far sample adds at most e^-40 / 2.
+* Cauchy (P = 10, T = 30): phi^(p)(t) = (-1)^p p! Im[(t - i)^-(p+1)] / pi,
+  so |phi^(P)| <= P!/pi and |R_P| <= r_max^P / pi per sample.  The tails are
+  heavy, so the samples beyond T are summed directly against every level;
+  eps holds the rounding of that sum instead of a tail term.
+* Skew-Gaussian (P = 12, T = 12): phi = 2 psi Psi(alpha .), by Leibniz with
+  psi^(j) = (-1)^j He_j psi and d^k Psi(alpha t) = alpha^k (-1)^(k-1)
+  He_(k-1)(alpha t) psi(alpha t); the tables are taken at -t, since the
+  kernel is not symmetric.  Cramer's bound on each Leibniz term gives
+  sup |phi^(P)| <= d, |R_P| <= d r_max^P / P! per sample; a far sample adds
+  at most 2 psi(T).  A loose eps only recomputes more columns.
+
+At n = 5000 eps is a few 1e-12 of max S for every family.  The certified
+scan evaluates the contrast from the approximate sums, whose error is at
+most delta = (2/n) eps plus the rounding slack of the two evaluations.  For
+fixed mu the contrast is a quadratic in lambda, so each column's least value
+comes from four lambda levels (``_column_minima``), widened by a stated
+slack rho for rounding near a flat vertex.  Every mu column whose minimum
+lies within 2 delta + rho of the global minimum may hold the exact minimum
 or one of its ties; those columns (usually one) are recomputed by
 ``precompute`` on that sub-grid and scanned by ``_scan_table``.  The other
 columns are strictly worse, so ``(lambda_index, mu_index, contrast_value)``
-is bit-identical to a full ``precompute`` and ``_scan_table`` run.  Other
-families, d > 1 and explicit ``inner_products`` use that direct path.
+is bit-identical to a full ``precompute`` and ``_scan_table`` run, for
+explicit ``inner_products`` too.  d > 1 uses that direct path.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 import math
 
 import numpy as np
+from scipy.special import erfc
 
 from .kernels import Kernel, cross_inner_many, memo, pdf_many, self_inner
 from .mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf_many
@@ -75,18 +101,22 @@ __all__ = [
 
 MAX_GRID_POINTS = 10 ** 9
 
-# rows-per-chunk targets keep temporaries around a few MB
-_SHIFT_CHUNK_CELLS = 1 << 18
+# rows-per-chunk targets keep temporaries around a few MB; the direct shift
+# sums (far Cauchy samples, candidate columns, d > 1) use chunks of 256 KB,
+# which keeps their temporaries below the lattice transform's
+_SHIFT_CHUNK_CELLS = 1 << 15
 _SCAN_CHUNK_CELLS = 1 << 20
 
-# Lattice transform: Taylor order P, far-sample cutoff T, Cramer's constant
-# for |He_P(t)| exp(-t^2/4) <= C sqrt(P!), unit roundoff u.  P = 8 puts the
-# Taylor remainder below 1e-16 per sample for n >= 1000; the rounding terms
-# dominate eps there.
-_TAYLOR_ORDER = 8
-_FAR = 12.0
-_CRAMER = 1.086435
+# Lattice transform: unit roundoff u; Cramer's constant for |He_j(t)|
+# exp(-t^2/4) <= C sqrt(j!); the Taylor orders P.  P = 8 puts the Gaussian
+# remainder below 1e-16 per sample for n >= 1000; the rounding terms dominate
+# eps there.  The Cauchy (P = 10) and skew (P = 12, alpha = 10) remainders
+# reach that from n = 500.
 _U = 2.0 ** -53
+_CRAMER = 1.086435
+_GAUSS_ORDER = 8
+_CAUCHY_ORDER = 10
+_SKEW_ORDER = 12
 _GAUSS = Kernel("gaussian")
 
 
@@ -179,9 +209,36 @@ def _grid_inner_products(kernel: Kernel, grid: Grid) -> np.ndarray:
     return memo(_INNER_CACHE, (kernel, grid.n, grid.M, grid.dim), fill, 16)
 
 
+def _inner_products(kernel: Kernel, grid: Grid, inner_products: np.ndarray | None) -> np.ndarray:
+    """The explicit ``inner_products``, checked, or else the per-grid ones."""
+    if inner_products is None:
+        return _grid_inner_products(kernel, grid)
+    inner_products = np.asarray(inner_products, dtype=float)
+    q = grid.mu_levels.shape[0]
+    if inner_products.shape != (q,):
+        raise ValueError(f"inner_products must have shape ({q},), got {inner_products.shape}")
+    return inner_products
+
+
 def _require_finite(data: np.ndarray) -> None:
     if not np.all(np.isfinite(data)):
         raise ValueError("data contains non-finite values (nan or inf)")
+
+
+def _direct_shift_sums(kernel: Kernel, mu_levels: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """sum_i phi(X_i - mu_j) for every level, streamed over the levels in
+    fixed-size chunks so that no n x q matrix is materialized."""
+    n = data.shape[0]
+    sums = np.empty(mu_levels.shape[0])
+    rows = max(1, _SHIFT_CHUNK_CELLS // n)
+    for j0 in range(0, mu_levels.shape[0], rows):
+        chunk = mu_levels[j0 : j0 + rows]
+        if kernel.dim == 1:
+            diff = data[None, :] - chunk[:, None]
+        else:
+            diff = data[None, :, :] - chunk[:, None, :]
+        sums[j0 : j0 + rows] = np.sum(pdf_many(kernel, diff), axis=1)
+    return sums
 
 
 def precompute(
@@ -211,24 +268,9 @@ def precompute(
         raise ValueError("grid dimension does not match kernel dimension")
     _require_finite(data)
 
-    q = grid.mu_levels.shape[0]
-    if inner_products is None:
-        inner_products = _grid_inner_products(kernel, grid)
-    else:
-        inner_products = np.asarray(inner_products, dtype=float)
-        if inner_products.shape != (q,):
-            raise ValueError(f"inner_products must have shape ({q},), got {inner_products.shape}")
-
+    inner_products = _inner_products(kernel, grid, inner_products)
     s0 = float(np.sum(pdf_many(kernel, data)))
-    sums = np.empty(q)
-    rows = max(1, _SHIFT_CHUNK_CELLS // n)
-    for j0 in range(0, q, rows):
-        chunk = grid.mu_levels[j0 : j0 + rows]
-        if kernel.dim == 1:
-            diff = data[None, :] - chunk[:, None]
-        else:
-            diff = data[None, :, :] - chunk[:, None, :]
-        sums[j0 : j0 + rows] = np.sum(pdf_many(kernel, diff), axis=1)
+    sums = _direct_shift_sums(kernel, grid.mu_levels, data)
     sums.setflags(write=False)
     return ContrastTable(
         s0=s0,
@@ -260,17 +302,24 @@ def contrast_naive(kernel: Kernel, theta: MixtureParams, data: np.ndarray) -> fl
     return -2.0 * mean_f + mixture_l2_norm_sq(kernel, theta)
 
 
+def _contrast_values(lam: np.ndarray, table: ContrastTable, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The contrast at lambda ``lam`` and the mu levels with shift sums ``s``
+    and inner products ``c`` (broadcast together): the one expression every
+    scan evaluates, so equal inputs give equal bits."""
+    n = table.sample_size
+    a0 = (-2.0 / n) * (1.0 - lam) * table.s0 + (lam ** 2 + (1.0 - lam) ** 2) * table.self_norm
+    return a0 + (-2.0 / n) * lam * s + 2.0 * lam * (1.0 - lam) * c
+
+
 def _contrast_chunks(grid: Grid, table: ContrastTable):
     """Yield (j0, gamma) over mu-column chunks; gamma[i, j] is the contrast at
     lambda index i and mu index j0 + j."""
     lam_col = grid.lambda_levels[:, None]
-    n = table.sample_size
-    a0 = (-2.0 / n) * (1.0 - lam_col) * table.s0 + (lam_col ** 2 + (1.0 - lam_col) ** 2) * table.self_norm
     cols = max(1, _SCAN_CHUNK_CELLS // lam_col.shape[0])
     for j0 in range(0, table.shift_sums.shape[0], cols):
         s_chunk = table.shift_sums[j0 : j0 + cols]
         c_chunk = table.inner_cache[j0 : j0 + cols]
-        yield j0, a0 + (-2.0 / n) * lam_col * s_chunk[None, :] + 2.0 * lam_col * (1.0 - lam_col) * c_chunk[None, :]
+        yield j0, _contrast_values(lam_col, table, s_chunk[None, :], c_chunk[None, :])
 
 
 def _scan_table(grid: Grid, table: ContrastTable) -> tuple[float, int, int]:
@@ -299,42 +348,224 @@ def _scan_table(grid: Grid, table: ContrastTable) -> tuple[float, int, int]:
 
 
 @dataclass(frozen=True)
+class _LatticeSpec:
+    """How one 1-d family's shift sums are taken on the lattice.
+
+    A binned sample x = b h + r adds sum_p w_p(r) E_p((k - b) h) to the sum
+    at level k h; the other fields are the family's terms of the bound eps.
+    """
+
+    kernel: Kernel
+    far: float               # cutoff T: samples farther than T from every level are not binned
+    tail: float | None       # >= phi(t) for |t| >= T; None: far samples are summed directly
+    lip: float               # >= sup |phi'|, against the rounding of the offsets
+    eval_abs: float          # rounding of precompute's pdf: eval_abs u per sample
+    eval_rel: int            # plus (n + eval_rel) u times the largest sum
+    weights: Callable        # r -> iterator over the moment weights w_p(r)
+    weight_ulps: np.ndarray  # (P,): rounding of w_p(r) relative to |w_p|, in units of u
+    weight_l1: Callable      # (m, r_max) -> (P,) bounds on ||A_p||_1 over m binned samples
+    tables: Callable         # t -> ((P, len t) tables E_p(t), (P,) bound on each entry's rounding)
+    remainder: Callable      # (m, r_max) -> bound on the truncation error of m binned samples
+
+
+def _hermite(t: np.ndarray, count: int):
+    """He_0..He_{count-1} at t by He_{p+1} = t He_p - p He_{p-1}, with the same
+    recurrence on absolute values, which bounds its rounding."""
+    he = [np.ones_like(t), t]
+    habs = [np.ones_like(t), np.abs(t)]
+    for p in range(1, count - 1):
+        he.append(t * he[p] - p * he[p - 1])
+        habs.append(np.abs(t) * habs[p] + p * habs[p - 1])
+    return he, habs
+
+
+def _taylor_spec(kernel: Kernel, order: int, **terms) -> _LatticeSpec:
+    """A Taylor family: weights w_p(r) = r^p / p! for p < order against the
+    tables E_p(t) = phi^(p)(-t), since phi(x - k h) = sum_p r^p / p!
+    phi^(p)((b - k) h) + R_P."""
+    orders = np.arange(order)
+    factorials = np.array([math.factorial(p) for p in orders], dtype=float)
+
+    def weights(r):
+        term = np.ones_like(r)
+        yield term
+        for p in range(1, order):
+            term = term * r / p
+            yield term
+
+    return _LatticeSpec(
+        kernel=kernel,
+        weights=weights,
+        weight_ulps=2 * orders,
+        weight_l1=lambda m, r_max: m * r_max ** orders / factorials,
+        **terms,
+    )
+
+
+def _gaussian_tables(t: np.ndarray):
+    phi = pdf_many(_GAUSS, t)
+    he, habs = _hermite(t, _GAUSS_ORDER)
+    tables = np.array(he) * phi  # He_p(t) phi(t) = phi^(p)(-t)
+    orders = np.arange(_GAUSS_ORDER)[:, None]
+    return tables, _U * np.max((2 * orders + 8 + np.square(t)) * np.array(habs) * phi, axis=1)
+
+
+def _cauchy_tables(t: np.ndarray):
+    # phi^(p)(s) = (-1)^p p! Im[(s - i)^-(p+1)] / pi, taken at s = -t
+    w = 1.0 / (-t - 1j)
+    power = w
+    tables = []
+    for p in range(_CAUCHY_ORDER):
+        tables.append((-1) ** p * math.factorial(p) / math.pi * power.imag)
+        power = power * w
+    # each complex product adds at most sqrt(5) u relative, and |w| <= 1
+    orders = np.arange(_CAUCHY_ORDER)
+    scale = np.array([math.factorial(p) for p in orders], dtype=float) / math.pi
+    return np.array(tables), _U * (3 * orders + 10) * scale
+
+
+def _laplace_weights(r: np.ndarray):
+    yield np.exp(-r)          # b > k: |x - k h| = (b - k) h + r
+    yield np.exp(r)           # b < k: |x - k h| = (k - b) h - r
+    yield np.exp(-np.abs(r))  # b = k
+
+
+def _laplace_tables(t: np.ndarray):
+    # t = (k - b) h: one-sided e^-|t| / 2 for b > k and for b < k, and the b = k term
+    half = 0.5 * np.exp(-np.abs(t))
+    tables = np.array([np.where(t < 0, half, 0.0), np.where(t > 0, half, 0.0), np.where(t == 0, 0.5, 0.0)])
+    return tables, _U * np.max((2.0 + np.abs(t)) * tables, axis=1)
+
+
+def _skew_spec(kernel: Kernel) -> _LatticeSpec:
+    """The skew-Gaussian phi(t) = 2 psi(t) Psi(alpha t), by Leibniz: psi^(j) =
+    (-1)^j He_j psi, and the k-th derivative of Psi(alpha t) is alpha^k
+    (-1)^(k-1) He_(k-1)(alpha t) psi(alpha t) for k >= 1."""
+    alpha = kernel.alpha
+    order = _SKEW_ORDER
+    with np.errstate(over="ignore"):
+        powers = np.float64(alpha) ** np.arange(order + 1)
+
+    def tables(t):
+        s = -t  # the kernel is not symmetric
+        z = alpha * s
+        # the derivatives of psi(s) and of Psi(z), and their terms in
+        # absolute value for the rounding bound, replace the Hermite values
+        dpsi, apsi = _hermite(s, order)
+        psi = pdf_many(_GAUSS, s)
+        for j in range(order):
+            dpsi[j] = (-1) ** j * dpsi[j] * psi
+            apsi[j] = apsi[j] * psi
+        dcdf, acdf = _hermite(z, order)
+        psi_z = pdf_many(_GAUSS, z)
+        for k in range(order - 1, 0, -1):
+            dcdf[k] = (-1) ** (k - 1) * powers[k] * dcdf[k - 1] * psi_z
+            acdf[k] = abs(powers[k]) * acdf[k - 1] * psi_z
+        dcdf[0] = acdf[0] = 0.5 * erfc(-z / math.sqrt(2.0))
+        table = np.empty((order, t.shape[0]))
+        err = np.empty(order)
+        for p in range(order):
+            table[p] = 2.0 * sum(math.comb(p, j) * dpsi[j] * dcdf[p - j] for j in range(p + 1))
+            bound = 2.0 * sum(math.comb(p, j) * apsi[j] * acdf[p - j] for j in range(p + 1))
+            err[p] = _U * np.max((4 * p + 24 + np.square(s) + np.square(z)) * bound)
+        return table, err
+
+    # Cramer: sup |psi^(j)| <= C sqrt(j!) / sqrt(2 pi), so sup |phi^(P)| <= d
+    cramer = [_CRAMER * math.sqrt(math.factorial(j)) / math.sqrt(2.0 * math.pi) for j in range(order + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cdf_derivs = [1.0] + [abs(powers[k]) * cramer[k - 1] for k in range(1, order + 1)]
+        d = 2.0 * sum(math.comb(order, j) * cramer[j] * cdf_derivs[order - j] for j in range(order + 1))
+    return _taylor_spec(
+        kernel,
+        order,
+        far=12.0,
+        tail=2.0 * float(pdf_many(_GAUSS, 12.0)),
+        lip=0.5 + abs(alpha) / math.pi,
+        eval_abs=2.0,
+        eval_rel=16,
+        tables=tables,
+        remainder=lambda m, r_max: m * d * r_max ** order / math.factorial(order),
+    )
+
+
+_GAUSS_SPEC = _taylor_spec(
+    _GAUSS,
+    _GAUSS_ORDER,
+    far=12.0,
+    tail=float(pdf_many(_GAUSS, 12.0)),
+    lip=0.25,
+    eval_abs=0.5,
+    eval_rel=6,
+    tables=_gaussian_tables,
+    remainder=lambda m, r_max: m * _CRAMER * r_max ** _GAUSS_ORDER
+    / math.sqrt(2.0 * math.pi * math.factorial(_GAUSS_ORDER)),
+)
+
+_LAPLACE_SPEC = _LatticeSpec(
+    kernel=Kernel("laplace"),
+    far=40.0,
+    tail=0.5 * math.exp(-40.0),
+    lip=0.5,
+    eval_abs=0.5,
+    eval_rel=6,
+    weights=_laplace_weights,
+    weight_ulps=np.array([2, 2, 2]),
+    weight_l1=lambda m, r_max: np.full(3, m * math.exp(r_max)),
+    tables=_laplace_tables,
+    remainder=lambda m, r_max: 0.0,
+)
+
+_CAUCHY_SPEC = _taylor_spec(
+    Kernel("cauchy"),
+    _CAUCHY_ORDER,
+    far=30.0,
+    tail=None,
+    lip=0.25,
+    eval_abs=0.5,
+    eval_rel=8,
+    tables=_cauchy_tables,
+    # |phi^(P)| <= P! / pi
+    remainder=lambda m, r_max: m * r_max ** _CAUCHY_ORDER / math.pi,
+)
+
+_SPECS = {"gaussian": _GAUSS_SPEC, "laplace": _LAPLACE_SPEC, "cauchy": _CAUCHY_SPEC}
+
+
+def _lattice_spec(kernel: Kernel) -> _LatticeSpec:
+    if kernel.family == "skew_gaussian":
+        return _skew_spec(kernel)
+    return _SPECS[kernel.family]
+
+
+@dataclass(frozen=True)
 class _LatticePlan:
-    """Data-independent parts of the lattice transform for one (n, k_max)."""
+    """Data-independent parts of the lattice transform for one (family, n, k_max)."""
 
     root: float            # sqrt(n); the lattice spacing is h = 1/root
     h: float
     bins: int              # K: samples are binned to b = -K..K
     size: int              # FFT length L
-    spectra: np.ndarray    # (P, L//2 + 1): rfft of the tables E_p(t) = He_p(t) phi(t)
+    spectra: np.ndarray    # (P, L//2 + 1): rfft of the tables E_p
     norm1: np.ndarray      # (P,): ||E_p||_1
     norm2: np.ndarray      # (P,): ||E_p||_2
     peak: np.ndarray       # (P,): max |E_p|
     table_err: np.ndarray  # (P,): bound on the rounding of one entry of E_p
 
 
+# Plans keyed by family and grid.  A study runs one family at a few n; the
+# largest plan (Cauchy, n = 8000, M = 10) holds 1.3 MB of spectra.
 _LATTICE_PLANS: dict[tuple, _LatticePlan] = {}
 
 
-def _lattice_plan(n: int, k_max: int) -> _LatticePlan:
+def _lattice_plan(spec: _LatticeSpec, n: int, k_max: int) -> _LatticePlan:
     root = math.sqrt(n)
     h = 1.0 / root
-    bins = k_max + math.ceil(_FAR * root) + 1
+    bins = k_max + math.ceil(spec.far * root) + 1
     half = bins + k_max  # table offsets m = -half..half cover every (b, k) pair
     size = 1 << (2 * half).bit_length()
     t = np.arange(-half, half + 1) * h
-    phi = pdf_many(_GAUSS, t)
-    # He_{p+1} = t He_p - p He_{p-1}; habs has the absolute coefficients and
-    # bounds the rounding of the recurrence
-    he = [np.ones_like(t), t]
-    habs = [np.ones_like(t), np.abs(t)]
-    for p in range(1, _TAYLOR_ORDER - 1):
-        he.append(t * he[p] - p * he[p - 1])
-        habs.append(np.abs(t) * habs[p] + p * habs[p - 1])
-    tables = np.array(he) * phi
-    orders = np.arange(_TAYLOR_ORDER)[:, None]
-    table_err = _U * np.max((2 * orders + 8 + np.square(t)) * np.array(habs) * phi, axis=1)
-    padded = np.zeros((_TAYLOR_ORDER, size))
+    tables, table_err = spec.tables(t)
+    padded = np.zeros((tables.shape[0], size))
     padded[:, : 2 * half + 1] = tables
     spectra = np.fft.rfft(padded, axis=1)
     spectra.setflags(write=False)
@@ -351,27 +582,29 @@ def _lattice_plan(n: int, k_max: int) -> _LatticePlan:
     )
 
 
-def _lattice_shift_sums(grid: Grid, data: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gaussian shift sums on a 1-d grid by the lattice transform.
+def _lattice_shift_sums(spec: _LatticeSpec, grid: Grid, data: np.ndarray) -> tuple[np.ndarray, float]:
+    """Shift sums on a 1-d grid by the lattice transform of ``spec``.
 
     Returns (sums, eps) with eps >= max_j |sums_j - S_j| for the sums S that
-    ``precompute`` computes; the module docstring derives each term.
+    ``precompute`` computes; the module docstring derives each term.  eps is
+    inf when the transform gives a non-finite sum.
     """
     n = data.shape[0]
     k_max = grid.mu_levels.shape[0] // 2
-    plan = memo(_LATTICE_PLANS, (grid.n, k_max), lambda: _lattice_plan(grid.n, k_max), 4)
+    plan = memo(_LATTICE_PLANS, (spec.kernel, grid.n, k_max), lambda: _lattice_plan(spec, grid.n, k_max), 4)
     bins = plan.bins
-    near = data[np.abs(data) <= bins * plan.h]
+    is_near = np.abs(data) <= bins * plan.h
+    near = data[is_near]
     b = np.rint(near * plan.root)
     r = near - b * plan.h
     idx = (b + bins).astype(np.intp)
-    moments = np.zeros((_TAYLOR_ORDER, plan.size))
-    moments[0, : 2 * bins + 1] = np.bincount(idx, minlength=2 * bins + 1)
-    term = np.ones_like(r)
-    for p in range(1, _TAYLOR_ORDER):
-        term = term * r / p
-        moments[p, : 2 * bins + 1] = np.bincount(idx, weights=term, minlength=2 * bins + 1)
-    spectrum = np.sum(np.fft.rfft(moments, axis=1) * plan.spectra, axis=0)
+    order = plan.spectra.shape[0]
+    moments = np.zeros((order, plan.size))
+    for p, w in enumerate(spec.weights(r)):
+        moments[p, : 2 * bins + 1] = np.bincount(idx, weights=w, minlength=2 * bins + 1)
+    spectrum = np.fft.rfft(moments, axis=1)
+    spectrum *= plan.spectra
+    spectrum = np.sum(spectrum, axis=0)
     # the k-th level's sum sits at offset 2K + k_max + k of the convolution;
     # k = 0 is not a mu level
     conv = np.fft.irfft(spectrum, plan.size)[2 * bins : 2 * bins + 2 * k_max + 1]
@@ -379,41 +612,88 @@ def _lattice_shift_sums(grid: Grid, data: np.ndarray) -> tuple[np.ndarray, float
 
     m = near.shape[0]
     r_max = float(np.max(np.abs(r))) if m else 0.0
-    orders = np.arange(_TAYLOR_ORDER)
-    l1 = m * r_max ** orders / np.array([math.factorial(p) for p in orders], dtype=float)  # >= ||A_p||_1
+    l1 = spec.weight_l1(m, r_max)  # >= ||A_p||_1
     l2 = np.sqrt(np.sum(np.square(moments), axis=1))
-    # Taylor remainder; far samples; offset rounding; moment and table
-    # rounding; FFT round-off; then the direct sum's own rounding
-    eps = m * _CRAMER * r_max ** _TAYLOR_ORDER / math.sqrt(2.0 * math.pi * math.factorial(_TAYLOR_ORDER))
-    eps += 2.0 * (n - m) * float(pdf_many(_GAUSS, _FAR))
-    eps += 0.25 * m * 8.0 * _U * (bins + k_max + 1) * plan.h
-    eps += float(np.sum(l1 * ((m + 2 * orders) * _U * plan.peak + plan.table_err)))
-    fft_gain = (14.0 * math.log2(plan.size) + _TAYLOR_ORDER + 4) * _U
+    # truncation; far samples; offset rounding; moment and table rounding;
+    # FFT round-off; then the direct sum's own rounding
+    eps = spec.remainder(m, r_max)
+    if spec.tail is None:
+        far = data[~is_near]
+        if far.size:
+            sums += _direct_shift_sums(spec.kernel, grid.mu_levels, far)
+        # rounding of the far samples' direct sums and of adding them
+        eps += _U * (spec.eval_abs * far.size + (far.size + spec.eval_rel + 1) * float(np.max(np.abs(sums))))
+    else:
+        eps += 2.0 * (n - m) * spec.tail
+    eps += spec.lip * m * 8.0 * _U * (bins + k_max + 1) * plan.h
+    eps += float(np.sum(l1 * ((m + spec.weight_ulps) * _U * plan.peak + plan.table_err)))
+    fft_gain = (14.0 * math.log2(plan.size) + order + 4) * _U
     eps += fft_gain * float(np.sum(l2 * plan.norm1 + l1 * plan.norm2))
-    eps += _U * (0.5 * n + (n + 6) * (float(np.max(np.abs(sums))) + eps))
+    eps += _U * (spec.eval_abs * n + (n + spec.eval_rel) * (float(np.max(np.abs(sums))) + eps))
+    if not (eps < math.inf and np.all(np.isfinite(sums))):
+        eps = math.inf
     return sums, eps
 
 
-def _certified_scan(kernel: Kernel, grid: Grid, data: np.ndarray) -> tuple[float, int, int]:
-    """``_scan_table(grid, precompute(...))`` for the 1-d Gaussian, bit for bit,
-    with lattice-transform sums and an exact recompute of the candidate columns."""
+def _column_minima(grid: Grid, table: ContrastTable) -> np.ndarray:
+    """Each mu column's least contrast over lambda, from two lambda levels.
+
+    For fixed mu_j the contrast is a quadratic in lambda with leading
+    coefficient 2 c_j, c_j = ||phi||^2 - <phi, phi_mu_j>, and vertex 1/2 +
+    (S_j - s0) / (2 n c_j).  A convex column (c_j > 0; the sign of the
+    rounded difference is exact) takes its least grid value at one of the two
+    levels around the vertex, any other column at an end level; those two
+    levels are evaluated with ``_contrast_values``.
+    """
+    lam = grid.lambda_levels
+    p = lam.shape[0]
+    curvature = table.self_norm - table.inner_cache
+    vertex = 0.5 + (table.shift_sums - table.s0) / (2.0 * table.sample_size * curvature)
+    # index of the largest level <= vertex, the levels being (i + 1) / sqrt(n);
+    # fmin and fmax also send a nan vertex to a valid index
+    lo = np.fmax(np.fmin(np.floor(vertex * math.sqrt(grid.n)) - 1.0, p - 2), 0.0).astype(np.intp)
+    rows = np.where(curvature > 0.0, [lo, lo + 1], [[0], [p - 1]])
+    return _contrast_values(lam[rows], table, table.shift_sums, table.inner_cache).min(axis=0)
+
+
+def _certified_scan(
+    spec: _LatticeSpec, grid: Grid, data: np.ndarray, inner_products: np.ndarray | None = None
+) -> tuple[float, int, int]:
+    """``_scan_table(grid, precompute(...))`` on a 1-d grid, bit for bit, with
+    lattice-transform sums and an exact recompute of the candidate columns."""
+    kernel = spec.kernel
     n = data.shape[0]
-    sums, eps = _lattice_shift_sums(grid, data)
-    inner = _grid_inner_products(kernel, grid)
-    approx = ContrastTable(
-        s0=float(np.sum(pdf_many(kernel, data))),
-        shift_sums=sums,
-        inner_cache=inner,
-        self_norm=self_inner(kernel),
-        sample_size=n,
-    )
-    col_min = np.concatenate([gam.min(axis=0) for _, gam in _contrast_chunks(grid, approx)])
+    inner = _inner_products(kernel, grid, inner_products)
+    # overflowing skew tables (a huge alpha) give eps = inf, so every column
+    # is recomputed; a flat column (an explicit inner product equal to
+    # ||phi||^2) has no vertex and takes its least value at an end level
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sums, eps = _lattice_shift_sums(spec, grid, data)
+        approx = ContrastTable(
+            s0=float(np.sum(pdf_many(kernel, data))),
+            shift_sums=sums,
+            inner_cache=inner,
+            self_norm=self_inner(kernel),
+            sample_size=n,
+        )
+        col_min = _column_minima(grid, approx)
     # |gamma~ - gamma| <= (2/n) eps, plus a few roundings of terms of size
     # `scale` in each of the two evaluations and in the comparison below
     s_bound = float(np.max(np.abs(sums))) + eps
     scale = (2.0 / n) * (approx.s0 + s_bound) + approx.self_norm + 0.5 * float(np.max(np.abs(inner)))
     delta = 2.0 * eps / n + 16.0 * _U * scale
-    cols = np.flatnonzero(col_min <= col_min.min() + 2.0 * delta)
+    # A column minimum may exceed the column's least value by rho: by the
+    # rounding of two evaluated values that lie off the quadratic, and by
+    # a (24 u)^2 with a = 2 (||phi||^2 - <phi, phi_mu>) <= 4 scale when the
+    # rounded vertex, within 8 u (1 + |vertex|) <= 24 u of the exact one on
+    # [-1, 2], crosses a level (beyond that range both leave the grid on
+    # the same side).
+    rho = 16.0 * _U * scale + 4.0 * scale * (24.0 * _U) ** 2
+    # a non-finite column (non-finite inner products) is always recomputed,
+    # so the exact scan sees it as the direct path does
+    finite = np.isfinite(col_min)
+    cut = float(np.min(col_min[finite])) + 2.0 * delta + rho if finite.any() else math.inf
+    cols = np.flatnonzero(~finite | (col_min <= cut))
     sub = Grid(lambda_levels=grid.lambda_levels, mu_levels=grid.mu_levels[cols], n=grid.n, M=grid.M)
     val, i, jj = _scan_table(sub, precompute(kernel, sub, data, inner_products=inner[cols]))
     return val, i, int(cols[jj])
@@ -427,15 +707,15 @@ def estimate(
 ) -> EstimateResult:
     """Minimize the contrast over the grid built for n = len(data) and bound M.
 
-    The 1-d Gaussian goes through the certified lattice scan, every other
-    case through ``precompute`` and ``_scan_table``; both give the same bits.
+    Every 1-d case goes through the certified lattice scan, d > 1 through
+    ``precompute`` and ``_scan_table``; both give the bits of the latter.
     """
     data = np.asarray(data, dtype=float)
     _require_finite(data)
     n = data.shape[0]
     grid = build_grid(n, M, kernel.dim)
-    if kernel.family == "gaussian" and kernel.dim == 1 and data.ndim == 1 and inner_products is None:
-        val, i, j = _certified_scan(kernel, grid, data)
+    if kernel.dim == 1 and data.ndim == 1:
+        val, i, j = _certified_scan(_lattice_spec(kernel), grid, data, inner_products)
     else:
         val, i, j = _scan_table(grid, precompute(kernel, grid, data, inner_products))
     mu_hat = np.atleast_1d(np.asarray(grid.mu_levels[j], dtype=float)).copy()

@@ -238,21 +238,36 @@ def cross_inner_many(kernel: Kernel, mus, quadrature: QuadratureSpec | None = No
     return np.array([cross_inner(kernel, m, quadrature) for m in mus])
 
 
+# Monte-Carlo draws per chunk: a few MB of temporaries for any draw count.
+_MC_CHUNK = 1 << 16
+
+
 def mc_inner(kernel: Kernel, mu, draws: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo estimate of ``<phi, phi_mu>`` as ``E_{X~phi}[phi(X - mu)]``.
 
     Returns ``(estimate, standard_error)``; the standard error is NaN for a
-    single draw.  Deterministic given the seed.
+    single draw.  Deterministic given the seed.  The draws are streamed in
+    chunks of ``_MC_CHUNK`` from one generator, which repeats the stream of a
+    single draw of them all; chunk means and squared deviations are merged by
+    Chan's pairwise update, so memory stays bounded whatever ``draws`` is.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    xs = sample(kernel, draws, seed)
-    vals = pdf_many(kernel, xs - np.asarray(mu, dtype=float))
-    est = float(np.mean(vals))
+    rng = np.random.default_rng(seed)
+    shift = np.asarray(mu, dtype=float)
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, draws, _MC_CHUNK):
+        vals = pdf_many(kernel, sample_with_rng(kernel, min(_MC_CHUNK, draws - start), rng) - shift)
+        size = vals.shape[0]
+        chunk_mean = float(np.mean(vals))
+        delta = chunk_mean - mean
+        total = count + size
+        mean += delta * (size / total)
+        m2 += float(np.sum(np.square(vals - chunk_mean))) + delta * delta * (count * size / total)
+        count = total
     if draws == 1:
-        return est, math.nan
-    se = float(np.std(vals, ddof=1) / math.sqrt(draws))
-    return est, se
+        return mean, math.nan
+    return mean, math.sqrt(m2 / (draws - 1)) / math.sqrt(draws)
 
 
 # ----------------------------- sampling -----------------------------

@@ -18,7 +18,7 @@ from contamix.estimator import (
     estimate,
     precompute,
 )
-from contamix.kernels import Kernel, cross_inner, pdf, self_inner
+from contamix.kernels import Kernel, QuadratureSpec, cross_inner, cross_inner_many, pdf, self_inner
 from contamix.mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf, sample_mixture
 
 GAUSS = Kernel("gaussian")
@@ -295,15 +295,28 @@ class TestInnerCacheFill:
         assert len(got) == 4 and all(a is got[0] for a in got)
 
 
-def assert_lattice_scan_exact(data, M):
-    """The Gaussian estimate equals precompute + _scan_table bit for bit, and
-    the lattice sums lie within their bound of the direct sums."""
+def spy_precompute(monkeypatch):
+    """Record the mu levels of each precompute call; the last is the recompute."""
+    sizes = []
+    real = estimator.precompute
+
+    def spy(kernel, grid, *args, **kwargs):
+        sizes.append(grid.mu_levels.shape[0])
+        return real(kernel, grid, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "precompute", spy)
+    return sizes
+
+
+def assert_lattice_scan_exact(data, M, kernel=GAUSS, inner_products=None):
+    """The estimate equals precompute + _scan_table bit for bit, and the
+    lattice sums lie within their bound of the direct sums."""
     grid = build_grid(len(data), M, 1)
-    table = precompute(GAUSS, grid, data)
+    table = precompute(kernel, grid, data, inner_products)
     val, i, j = estimator._scan_table(grid, table)
-    sums, eps = estimator._lattice_shift_sums(grid, data)
+    sums, eps = estimator._lattice_shift_sums(estimator._lattice_spec(kernel), grid, data)
     assert np.max(np.abs(sums - table.shift_sums)) <= eps
-    res = estimate(GAUSS, data, M)
+    res = estimate(kernel, data, M, inner_products)
     assert (res.lambda_index, res.mu_index) == (i, j)
     assert np.float64(res.contrast_value).tobytes() == np.float64(val).tobytes()
 
@@ -326,14 +339,7 @@ class TestLatticeScan:
         # of the minimum must be recomputed and the direct tie rule decides
         x = sample_mixture(GAUSS, MixtureParams(0.3, 1.5), 600, seed=21)
         data = np.concatenate([x, -x])
-        sizes = []  # mu levels per precompute call; the last is the recompute
-        real = estimator.precompute
-
-        def spy(kernel, grid, *args, **kwargs):
-            sizes.append(grid.mu_levels.shape[0])
-            return real(kernel, grid, *args, **kwargs)
-
-        monkeypatch.setattr(estimator, "precompute", spy)
+        sizes = spy_precompute(monkeypatch)
         assert_lattice_scan_exact(data, 4.0)
         assert sizes[-1] >= 2
 
@@ -354,7 +360,7 @@ class TestLatticeScan:
         grid = build_grid(2000, 10.0, 1)
         tracemalloc.start()
         try:
-            estimator._lattice_shift_sums(grid, data)
+            estimator._lattice_shift_sums(estimator._GAUSS_SPEC, grid, data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -364,6 +370,119 @@ class TestLatticeScan:
     def test_all_samples_far(self):
         # nothing is binned; the skipped sums (~1e-183) are covered by eps
         assert_lattice_scan_exact(np.linspace(30.0, 31.0, 64), 1.0)
+
+
+SKEW = Kernel("skew_gaussian", alpha=10.0)
+NON_GAUSSIAN = [Kernel("laplace"), Kernel("cauchy"), SKEW]
+
+
+def family(kernel):
+    return kernel.family
+
+
+class TestLatticeFamilies:
+    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(4, 3000),
+        M=st.floats(1.0, 10.0),
+        lam=st.floats(0.01, 0.99),
+        mu_frac=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_direct_path(self, kernel, n, M, lam, mu_frac, seed):
+        data = sample_mixture(kernel, MixtureParams(lam, mu_frac * M), n, seed=seed)
+        inner = None
+        if kernel.family == "skew_gaussian":
+            # a coarse Simpson rule keeps each example's cold grid fill cheap;
+            # near mu = 0 it can exceed ||phi||^2, giving concave columns
+            levels = build_grid(n, M, 1).mu_levels
+            inner = cross_inner_many(kernel, levels, QuadratureSpec(12.0, panels=256))
+        assert_lattice_scan_exact(data, M, kernel, inner)
+
+    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
+    def test_far_outliers_keep_memory_bounded(self, kernel):
+        data = sample_mixture(kernel, MixtureParams(0.25, 2.0), 2000, seed=9)
+        data[:8] = [1e6, -1e6, 1e6 + 0.5, -1e6 - 0.5, 1e5, 40.0, -40.0, 31.0]
+        assert_lattice_scan_exact(data, 10.0, kernel)
+        grid = build_grid(2000, 10.0, 1)
+        spec = estimator._lattice_spec(kernel)
+        tracemalloc.start()
+        try:
+            estimator._lattice_shift_sums(spec, grid, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_cauchy_outlier_mass(self):
+        # a fifth of the sample at +-1e6 and beyond: summed directly, not binned
+        data = sample_mixture(Kernel("cauchy"), MixtureParams(0.3, -1.0), 1500, seed=4)
+        data[::5] = np.where(np.arange(300) % 2, 1e6, -1e6) * (1.0 + np.arange(300) / 300)
+        assert_lattice_scan_exact(data, 5.0, Kernel("cauchy"))
+
+    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
+    def test_symmetric_data_ties(self, kernel, monkeypatch):
+        x = sample_mixture(kernel, MixtureParams(0.3, 1.5), 600, seed=21)
+        sizes = spy_precompute(monkeypatch)
+        assert_lattice_scan_exact(np.concatenate([x, -x]), 4.0, kernel)
+        if kernel.family != "skew_gaussian":
+            # gamma(mu) = gamma(-mu) up to rounding for a symmetric kernel
+            assert sizes[-1] >= 2
+
+    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
+    def test_samples_on_bin_edges(self, kernel):
+        n, M = 900, 3.0
+        k = np.random.default_rng(5).integers(-140, 140, size=n)
+        assert_lattice_scan_exact((k + 0.5) / math.sqrt(n), M, kernel)
+
+    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
+    @pytest.mark.parametrize("value", [0.0, 0.37, -2.5])
+    def test_repeated_value(self, kernel, value):
+        assert_lattice_scan_exact(np.full(400, value), 3.0, kernel)
+
+    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
+    @pytest.mark.parametrize("n, value", [(16, 0.37), (100, 0.149)])
+    def test_coarse_lattice_offset_near_half_bin(self, kernel, n, value):
+        # r close to h/2 on a coarse lattice: the last Taylor term is far
+        # above every rounding term of eps
+        assert_lattice_scan_exact(np.full(n, value), 2.0, kernel)
+
+    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
+    def test_all_samples_far(self, kernel):
+        # beyond every family's cutoff: nothing is binned
+        assert_lattice_scan_exact(np.linspace(50.0, 51.0, 64), 1.0, kernel)
+
+    @pytest.mark.parametrize("kernel", [GAUSS] + NON_GAUSSIAN, ids=family)
+    def test_rate_scaling_largest_n(self, kernel, monkeypatch):
+        # the n = 8000 cell of the rate-scaling study, which the benchmark's
+        # naive-contrast spot checks leave out
+        data = sample_mixture(kernel, MixtureParams(0.25, 2.0), 8000, seed=20260809)
+        sizes = spy_precompute(monkeypatch)
+        assert_lattice_scan_exact(data, 10.0, kernel)
+        assert sizes[-1] < 8  # only the candidate columns are recomputed
+
+    @pytest.mark.parametrize("kernel", [GAUSS] + NON_GAUSSIAN, ids=family)
+    @pytest.mark.parametrize("spread", [(0.8, 1.2), (1.5, 3.0)])
+    def test_explicit_inner_products_take_the_lattice(self, kernel, spread, monkeypatch):
+        # Monte-Carlo-like inner products go through the certified scan too;
+        # those above ||phi||^2 make concave columns, least at an end level
+        data = sample_mixture(kernel, MixtureParams(0.4, 1.0), 700, seed=13)
+        grid = build_grid(700, 3.0, 1)
+        noise = np.random.default_rng(2).uniform(*spread, grid.mu_levels.shape[0])
+        inner = cross_inner_many(kernel, grid.mu_levels) * noise
+        sizes = spy_precompute(monkeypatch)
+        assert_lattice_scan_exact(data, 3.0, kernel, inner)
+        assert sizes[-1] < grid.mu_levels.shape[0]
+
+    def test_column_minima_within_their_slack(self):
+        data = sample_mixture(GAUSS, MixtureParams(0.3, 1.0), 2500, seed=3)
+        grid = build_grid(2500, 6.0, 1)
+        table = precompute(GAUSS, grid, data)
+        full = np.concatenate([g.min(axis=0) for _, g in estimator._contrast_chunks(grid, table)])
+        fast = estimator._column_minima(grid, table)
+        assert np.all(fast >= full)
+        assert np.max(fast - full) <= 1e-15
 
 
 @pytest.mark.slow

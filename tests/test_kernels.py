@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,29 @@ class TestMcInner:
 
     def test_deterministic(self):
         assert mc_inner(SKEW, 0.5, 1000, seed=11) == mc_inner(SKEW, 0.5, 1000, seed=11)
+
+    @pytest.mark.parametrize("draws", [1000, kernels._MC_CHUNK, 3 * kernels._MC_CHUNK + 5])
+    def test_streamed_draws_repeat_one_draw(self, any_kernel, draws):
+        # one chunk gives the single-array mean and standard error bit for
+        # bit; more chunks change only the summation order
+        vals = pdf_many(any_kernel, sample(any_kernel, draws, seed=4) - 0.7)
+        est, se = mc_inner(any_kernel, 0.7, draws, seed=4)
+        ref_est, ref_se = float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(draws))
+        if draws <= kernels._MC_CHUNK:
+            assert (est, se) == (ref_est, ref_se)
+        else:
+            assert est == pytest.approx(ref_est, rel=1e-13)
+            assert se == pytest.approx(ref_se, rel=1e-10)
+
+    def test_memory_bounded(self):
+        # a single array of 2e6 skew draws and its temporaries peak near 76 MB
+        tracemalloc.start()
+        try:
+            mc_inner(SKEW, 0.5, 2 * 10 ** 6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestSample:
