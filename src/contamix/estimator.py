@@ -64,28 +64,77 @@ and its own terms:
   sup |phi^(P)| <= d, |R_P| <= d r_max^P / P! per sample; a far sample adds
   at most 2 psi(T).  A loose eps only recomputes more columns.
 
+Skew inner products on the lattice.  The skew-Gaussian has no closed form
+for c(mu) = <phi, phi_mu>; ``cross_inner`` takes it by a 16 385-point
+Simpson rule, about 0.75 ms per mu level.  Its lattice plan instead holds
+the trapezoid rule on the lattice,
+
+    c~(k h) = h sum_m phi(m h) phi((m - k) h),
+
+one autocorrelation of the E_0 table (the irfft of its spectrum times its
+conjugate), and a bound e >= max_j |c~_j - c_j| against the Simpson values
+c_j.  The skew-normal characteristic function is chi(t) = e^{-t^2/2} (1 +
+i erfi(delta t / sqrt 2)), delta = alpha / sqrt(1 + alpha^2) (Azzalini 1985);
+Dawson's function is at most 0.54105, so |erfi(x)| <= 0.6106 e^{x^2} and
+|chi(t)| <= 1.6106 exp(-t^2 / (2 s^2)), s^2 = 1 + alpha^2.  The transform of
+f = phi phi_mu is a convolution of two such, so |f^(w)| <= 0.7318 s
+exp(-w^2 / (4 s^2)) for every mu.  With sup phi <= 2 psi(0) = sqrt(2/pi),
+which also bounds every c(mu), lip >= sup |phi'| as above and Q the
+Gaussian upper tail, e holds
+
+* aliasing: by Poisson summation the lattice rule errs by at most sum_{j !=
+  0} |f^(2 pi j / h)| <= 2 (0.7318 s) q / (1 - q^3), q = exp(-(pi sqrt(n) /
+  s)^2) (trapezoid rules converge exponentially; Trefethen & Weideman 2014);
+* the tail: every term the table leaves out, or the circular correlation
+  or Simpson's window cuts, has a factor phi(t) <= 2 psi(t) at |t| >= 11 and
+  another at most sup phi, 8 sup phi (psi(11) + Q(11)) in all, plus the
+  wrapped terms, 4 mu_max psi(12)^2;
+* table rounding: each of the N entries is within tau = (its rounding) +
+  lip u N h of phi(m h), giving h tau (2 ||E_0||_1 + 3 N tau);
+* FFT round-off, the bound above with P = 1: (14 log2 L + 5) u 2 ||E_0||_1
+  ||E_0||_2 h; then u sup phi for the product by h and 4 u lip mu_max for
+  the rounding of the mu levels;
+* Simpson's own error on its window of width w = 24 + |mu| with step h_s =
+  w / 16384: w h_s^4 sup |f^(4)| / 180, where sup |f^(4)| <= sum_j C(4, j)
+  D_j D_{4-j} by Leibniz and D_j >= sup |phi^(j)| comes from the same
+  Cramer bounds as d above, plus the window tail;
+* the rounding of Simpson's nodes (8 u (w + mu_max) each, against lip on
+  both factors), of its pdf values and of their products, w sup phi (2 u (c
+  + c' sup phi) + 2 lip 8 u (w + mu_max) + u sup phi);
+* the rounding of its 16 385-term dot product and its scaling, (16384 + 8) u
+  times sup phi plus the two terms above.
+
+At alpha = 10, M = 10 and n >= 500, e is about 2e-7, nearly all Simpson's
+h^4 term, while the measured error is below 4e-16.  The lattice resolves
+Psi(alpha t) only for n of at least a few alpha^2: at alpha = 10 and n = 16,
+e is about 3, and at alpha = 30 and n = 500, 0.18.  A non-finite e is inf.
+Either way a loose e only recomputes more columns.
+
 At n = 5000 eps is a few 1e-12 of max S for every family.  The certified
-scan evaluates the contrast from the approximate sums, whose error is at
-most delta = (2/n) eps plus the rounding slack of the two evaluations.  For
-fixed mu the contrast is a quadratic in lambda, so each column's least value
-comes from four lambda levels (``_column_minima``), widened by a stated
-slack rho for rounding near a flat vertex.  Every mu column whose minimum
-lies within 2 delta + rho of the global minimum may hold the exact minimum
-or one of its ties; those columns (usually one) are recomputed by
-``precompute`` on that sub-grid and scanned by ``_scan_table``.  The other
-columns are strictly worse, so ``(lambda_index, mu_index, contrast_value)``
-is bit-identical to a full ``precompute`` and ``_scan_table`` run, for
-explicit ``inner_products`` too.  d > 1 uses that direct path.
+scan evaluates the contrast from the approximate sums and inner products,
+whose error is at most delta = (2/n) eps + e/2 (as 2 lam (1 - lam) <= 1/2;
+e = 0 for the closed forms and for explicit ``inner_products``) plus the
+rounding slack of the two evaluations.  For fixed mu the contrast is a
+quadratic in lambda, so each column's least value comes from four lambda
+levels (``_column_minima``), widened by a stated slack rho for rounding near
+a flat vertex.  Every mu column whose minimum lies within 2 delta + rho of
+the global minimum may hold the exact minimum or one of its ties; those
+columns (usually one) are recomputed by ``precompute`` on that sub-grid,
+with the skew-Gaussian's Simpson values taken by ``cross_inner_many`` on
+those columns only, and scanned by ``_scan_table``.  The other columns are
+strictly worse, so ``(lambda_index, mu_index, contrast_value)`` is
+bit-identical to a full ``precompute`` and ``_scan_table`` run, for explicit
+``inner_products`` too.  d > 1 uses that direct path.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
 from scipy.special import erfc
 
-from .kernels import Kernel, cross_inner_many, memo, pdf_many, self_inner
+from .kernels import Kernel, cross_inner_many, default_quadrature, memo, pdf_many, self_inner
 from .mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf_many
 
 __all__ = [
@@ -118,6 +167,13 @@ _GAUSS_ORDER = 8
 _CAUCHY_ORDER = 10
 _SKEW_ORDER = 12
 _GAUSS = Kernel("gaussian")
+# Skew inner products: sup phi = 2 psi(0) bounds every skew-Gaussian value and
+# every <phi, phi_mu>; psi(11), psi(12) and the Gaussian tail mass beyond 11
+# bound the terms the lattice and Simpson rules leave out.
+_SKEW_SUP = math.sqrt(2.0 / math.pi)
+_PSI_11 = math.exp(-60.5) / math.sqrt(2.0 * math.pi)
+_PSI_12 = math.exp(-72.0) / math.sqrt(2.0 * math.pi)
+_GAUSS_TAIL_11 = 0.5 * math.erfc(11.0 / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -366,6 +422,7 @@ class _LatticeSpec:
     weight_l1: Callable      # (m, r_max) -> (P,) bounds on ||A_p||_1 over m binned samples
     tables: Callable         # t -> ((P, len t) tables E_p(t), (P,) bound on each entry's rounding)
     remainder: Callable      # (m, r_max) -> bound on the truncation error of m binned samples
+    inner_bound: Callable | None = None  # (plan, k_max) -> e; None: closed-form inner products
 
 
 def _hermite(t: np.ndarray, count: int):
@@ -474,17 +531,56 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
     cramer = [_CRAMER * math.sqrt(math.factorial(j)) / math.sqrt(2.0 * math.pi) for j in range(order + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         cdf_derivs = [1.0] + [abs(powers[k]) * cramer[k - 1] for k in range(1, order + 1)]
-        d = 2.0 * sum(math.comb(order, j) * cramer[j] * cdf_derivs[order - j] for j in range(order + 1))
+        sup_deriv = [
+            2.0 * sum(math.comb(p, j) * cramer[j] * cdf_derivs[p - j] for j in range(p + 1))
+            for p in range(order + 1)
+        ]
+        # sup |f^(4)| for f = phi phi_mu, by Leibniz: Simpson's error term
+        sup_f4 = sum(math.comb(4, j) * sup_deriv[j] * sup_deriv[4 - j] for j in range(5))
+    d = sup_deriv[order]
+    lip = 0.5 + abs(alpha) / math.pi
+    eval_abs, eval_rel = 2.0, 16
+    spread = math.hypot(1.0, alpha)  # |chi(t)| <= 1.6106 exp(-t^2 / (2 spread^2))
+
+    def inner_bound(plan, k_max):
+        # e >= max_j |c~_j - c_j| against the Simpson values c_j of
+        # ``cross_inner``; the module docstring derives each term
+        quad = default_quadrature(kernel)
+        mu_max = k_max * plan.h
+        count = 2 * (plan.bins + k_max) + 1  # table entries
+        # every term a rule leaves out or wraps has a factor phi(t) <= 2 psi(t)
+        # at |t| >= 11, and the other factor at most _SKEW_SUP
+        tail = 8.0 * _SKEW_SUP * (_PSI_11 + _GAUSS_TAIL_11) + 4.0 * mu_max * _PSI_12 ** 2
+        # lattice: aliasing, the sum over j != 0 of |f^(2 pi j / h)| <= 0.7318
+        # spread q^(j^2); the tail; table entries, with the rounding of m h;
+        # FFT round-off; the product by h; the rounding of the mu levels
+        q = math.exp(-((math.pi * plan.root) / spread) ** 2)
+        e = 2.0 * 0.7318 * spread * q / (1.0 - q ** 3) if q < 1.0 else math.inf
+        tau = plan.table_err[0] + lip * _U * count * plan.h
+        e += tail + plan.h * tau * (2.0 * plan.norm1[0] + 3.0 * count * tau)
+        e += plan.h * (14.0 * math.log2(plan.size) + 5.0) * _U * 2.0 * plan.norm1[0] * plan.norm2[0]
+        e += _U * _SKEW_SUP + 4.0 * _U * lip * mu_max
+        # Simpson on a window of width <= `width`: its h^4 term and the window
+        # tail; the rounding of its nodes, pdf values and products; then of
+        # its dot product and scaling
+        width = 2.0 * quad.half_width + mu_max
+        simpson = width * (width / quad.panels) ** 4 * sup_f4 / 180.0 + tail
+        node = 8.0 * _U * (width + mu_max)
+        pdf_err = _U * (eval_abs + eval_rel * _SKEW_SUP)
+        simpson += width * _SKEW_SUP * (2.0 * pdf_err + 2.0 * lip * node + _U * _SKEW_SUP)
+        return e + simpson + (quad.panels + 8) * _U * (_SKEW_SUP + simpson)
+
     return _taylor_spec(
         kernel,
         order,
         far=12.0,
         tail=2.0 * float(pdf_many(_GAUSS, 12.0)),
-        lip=0.5 + abs(alpha) / math.pi,
-        eval_abs=2.0,
-        eval_rel=16,
+        lip=lip,
+        eval_abs=eval_abs,
+        eval_rel=eval_rel,
         tables=tables,
         remainder=lambda m, r_max: m * d * r_max ** order / math.factorial(order),
+        inner_bound=inner_bound,
     )
 
 
@@ -550,6 +646,8 @@ class _LatticePlan:
     norm2: np.ndarray      # (P,): ||E_p||_2
     peak: np.ndarray       # (P,): max |E_p|
     table_err: np.ndarray  # (P,): bound on the rounding of one entry of E_p
+    inner: np.ndarray | None = None  # (q,): lattice inner products c~_j, if the spec has a bound
+    inner_err: float = 0.0           # e >= max_j |c~_j - c_j|
 
 
 # Plans keyed by family and grid.  A study runs one family at a few n; the
@@ -569,7 +667,7 @@ def _lattice_plan(spec: _LatticeSpec, n: int, k_max: int) -> _LatticePlan:
     padded[:, : 2 * half + 1] = tables
     spectra = np.fft.rfft(padded, axis=1)
     spectra.setflags(write=False)
-    return _LatticePlan(
+    plan = _LatticePlan(
         root=root,
         h=h,
         bins=bins,
@@ -580,6 +678,22 @@ def _lattice_plan(spec: _LatticeSpec, n: int, k_max: int) -> _LatticePlan:
         peak=np.max(np.abs(tables), axis=1),
         table_err=table_err,
     )
+    if spec.inner_bound is None:
+        return plan
+    # c~(k h) = h sum_m phi(m h) phi((m - k) h) is the autocorrelation of the
+    # E_0(t) = phi(-t) table, whose lag k sits at index k mod L
+    corr = np.fft.irfft(spectra[0] * spectra[0].conj(), size)
+    inner = h * np.concatenate([corr[size - k_max :], corr[1 : k_max + 1]])
+    inner.setflags(write=False)
+    err = spec.inner_bound(plan, k_max)
+    if not (err < math.inf and np.all(np.isfinite(inner))):
+        err = math.inf
+    return replace(plan, inner=inner, inner_err=err)
+
+
+def _grid_plan(spec: _LatticeSpec, grid: Grid) -> _LatticePlan:
+    k_max = grid.mu_levels.shape[0] // 2
+    return memo(_LATTICE_PLANS, (spec.kernel, grid.n, k_max), lambda: _lattice_plan(spec, grid.n, k_max), 4)
 
 
 def _lattice_shift_sums(spec: _LatticeSpec, grid: Grid, data: np.ndarray) -> tuple[np.ndarray, float]:
@@ -591,7 +705,7 @@ def _lattice_shift_sums(spec: _LatticeSpec, grid: Grid, data: np.ndarray) -> tup
     """
     n = data.shape[0]
     k_max = grid.mu_levels.shape[0] // 2
-    plan = memo(_LATTICE_PLANS, (spec.kernel, grid.n, k_max), lambda: _lattice_plan(spec, grid.n, k_max), 4)
+    plan = _grid_plan(spec, grid)
     bins = plan.bins
     is_near = np.abs(data) <= bins * plan.h
     near = data[is_near]
@@ -663,7 +777,14 @@ def _certified_scan(
     lattice-transform sums and an exact recompute of the candidate columns."""
     kernel = spec.kernel
     n = data.shape[0]
-    inner = _inner_products(kernel, grid, inner_products)
+    # the skew-Gaussian's default inner products come from its plan, within
+    # inner_err of the Simpson values, which only the candidates get
+    plan = _grid_plan(spec, grid)
+    lattice_inner = inner_products is None and plan.inner is not None
+    if lattice_inner:
+        inner, inner_err = plan.inner, plan.inner_err
+    else:
+        inner, inner_err = _inner_products(kernel, grid, inner_products), 0.0
     # overflowing skew tables (a huge alpha) give eps = inf, so every column
     # is recomputed; a flat column (an explicit inner product equal to
     # ||phi||^2) has no vertex and takes its least value at an end level
@@ -677,11 +798,13 @@ def _certified_scan(
             sample_size=n,
         )
         col_min = _column_minima(grid, approx)
-    # |gamma~ - gamma| <= (2/n) eps, plus a few roundings of terms of size
-    # `scale` in each of the two evaluations and in the comparison below
+    # |gamma~ - gamma| <= (2/n) eps + 2 lam (1 - lam) inner_err, with
+    # 2 lam (1 - lam) <= 1/2, plus a few roundings of terms of size `scale`
+    # in each of the two evaluations and in the comparison below
     s_bound = float(np.max(np.abs(sums))) + eps
-    scale = (2.0 / n) * (approx.s0 + s_bound) + approx.self_norm + 0.5 * float(np.max(np.abs(inner)))
-    delta = 2.0 * eps / n + 16.0 * _U * scale
+    c_bound = float(np.max(np.abs(inner))) + inner_err
+    scale = (2.0 / n) * (approx.s0 + s_bound) + approx.self_norm + 0.5 * c_bound
+    delta = 2.0 * eps / n + 0.5 * inner_err + 16.0 * _U * scale
     # A column minimum may exceed the column's least value by rho: by the
     # rounding of two evaluated values that lie off the quadratic, and by
     # a (24 u)^2 with a = 2 (||phi||^2 - <phi, phi_mu>) <= 4 scale when the
@@ -695,7 +818,8 @@ def _certified_scan(
     cut = float(np.min(col_min[finite])) + 2.0 * delta + rho if finite.any() else math.inf
     cols = np.flatnonzero(~finite | (col_min <= cut))
     sub = Grid(lambda_levels=grid.lambda_levels, mu_levels=grid.mu_levels[cols], n=grid.n, M=grid.M)
-    val, i, jj = _scan_table(sub, precompute(kernel, sub, data, inner_products=inner[cols]))
+    exact = cross_inner_many(kernel, sub.mu_levels) if lattice_inner else inner[cols]
+    val, i, jj = _scan_table(sub, precompute(kernel, sub, data, inner_products=exact))
     return val, i, int(cols[jj])
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from contamix import estimator
+from contamix import estimator, kernels
 from contamix.estimator import (
     ContrastTable,
     EstimateResult,
@@ -483,6 +483,71 @@ class TestLatticeFamilies:
         fast = estimator._column_minima(grid, table)
         assert np.all(fast >= full)
         assert np.max(fast - full) <= 1e-15
+
+
+SKEW_ALPHAS = [-10.0, -0.5, 0.5, 3.0, 10.0, 30.0]
+
+
+class TestSkewLatticeInner:
+    """The skew-Gaussian's default inner products come from its lattice plan,
+    within the plan's bound e of the Simpson values; only the candidate
+    columns get Simpson values."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.sampled_from(SKEW_ALPHAS),
+        n=st.integers(4, 1500),
+        M=st.floats(1.0, 4.0),
+        lam=st.floats(0.01, 0.99),
+        mu_frac=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_default_inner_products_match_direct_path(self, alpha, n, M, lam, mu_frac, seed):
+        # the oracle fills the full Simpson grid; M <= 4 keeps that cheap
+        kernel = Kernel("skew_gaussian", alpha=alpha)
+        data = sample_mixture(kernel, MixtureParams(lam, mu_frac * M), n, seed=seed)
+        assert_lattice_scan_exact(data, M, kernel)
+
+    @pytest.mark.parametrize("alpha", SKEW_ALPHAS)
+    @pytest.mark.parametrize("n", [4, 16, 500, 2000, 8000])
+    def test_bound_holds_at_every_level(self, alpha, n):
+        kernel = Kernel("skew_gaussian", alpha=alpha)
+        grid = build_grid(n, 4.0, 1)
+        plan = estimator._grid_plan(estimator._lattice_spec(kernel), grid)
+        simpson = cross_inner_many(kernel, grid.mu_levels)
+        assert np.max(np.abs(plan.inner - simpson)) <= plan.inner_err
+        if n >= 500 and abs(alpha) <= 10.0:
+            # the bound is small where the lattice resolves the kernel
+            assert plan.inner_err < 1e-6
+
+    def test_huge_alpha_recomputes_every_column(self, monkeypatch):
+        # the lattice cannot resolve Psi(1e4 t) at n = 16: e is useless and
+        # every column gets its Simpson value, as the direct path does
+        kernel = Kernel("skew_gaussian", alpha=1e4)
+        grid = build_grid(16, 2.0, 1)
+        plan = estimator._grid_plan(estimator._lattice_spec(kernel), grid)
+        assert not plan.inner_err < 1.0
+        data = sample_mixture(kernel, MixtureParams(0.3, 1.0), 16, seed=11)
+        sizes = spy_precompute(monkeypatch)
+        assert_lattice_scan_exact(data, 2.0, kernel)
+        assert sizes[-1] == grid.mu_levels.shape[0]
+
+    def test_simpson_only_on_candidates(self, monkeypatch):
+        levels = []
+        real = kernels._skew_cross_quadrature
+
+        def spy(kernel, mu, spec):
+            levels.append(mu)
+            return real(kernel, mu, spec)
+
+        monkeypatch.setattr(kernels, "_skew_cross_quadrature", spy)
+        monkeypatch.setattr(kernels, "_SKEW_CACHE", {})
+        monkeypatch.setattr(estimator, "_INNER_CACHE", {})
+        data = sample_mixture(SKEW, MixtureParams(0.25, 2.0), 8000, seed=20260809)
+        estimate(SKEW, data, 10.0)
+        # ||phi||^2 and the candidate columns, out of 1788 mu levels
+        assert len(levels) <= 8
+        assert estimator._INNER_CACHE == {}
 
 
 @pytest.mark.slow
