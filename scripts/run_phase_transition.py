@@ -3,7 +3,7 @@
 
 Defaults to the bundled desk-scale config; point --config at
 configs/fig1_full.config for the full protocol (n = 5000, 1000 replicates
-per nu — hours of runtime).
+per nu; about a minute with --workers 2 on two cores).
 """
 
 import argparse

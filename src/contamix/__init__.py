@@ -8,7 +8,7 @@ studies), ``cli`` (command-line entry point).
 """
 
 from .estimator import EstimateResult, build_grid, contrast_naive, estimate
-from .kernels import Kernel, QuadratureSpec, cross_inner, mc_inner, pdf, sample, self_inner
+from .kernels import Kernel, cross_inner, mc_inner, pdf, sample, self_inner
 from .metrics import MixingDistribution, transport_oracle, w1, w2_squared
 from .mixture import MixtureParams, l2_distance_sq, mixture_l2_norm_sq, mixture_pdf, sample_mixture
 from .simharness import ExperimentConfig, emit_csv, load_config, run_experiment
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Kernel",
-    "QuadratureSpec",
     "pdf",
     "self_inner",
     "cross_inner",

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .kernels import Kernel, QuadratureSpec, cross_inner_many, self_inner
+from .kernels import Kernel, cross_inner_many, self_inner
 from .metrics import w2_squared
 from .mixture import MixtureParams, l2_distance_sq
 
@@ -70,16 +70,14 @@ class ScanReport:
     surface: np.ndarray | None = None
 
 
-def _cross_memo(kernel: Kernel, values: np.ndarray, quadrature) -> np.ndarray:
+def _cross_memo(kernel: Kernel, values: np.ndarray) -> np.ndarray:
     """cross_inner over an array, deduplicated (matters for skew quadrature)."""
     uniq, inverse = np.unique(np.asarray(values, dtype=float).reshape(-1), return_inverse=True)
-    c = cross_inner_many(kernel, uniq, quadrature)
+    c = cross_inner_many(kernel, uniq)
     return c[inverse].reshape(np.shape(values))
 
 
-def scan_kappa(
-    kernel: Kernel, M: float, steps: int, quadrature: QuadratureSpec | None = None
-) -> ScanReport:
+def scan_kappa(kernel: Kernel, M: float, steps: int) -> ScanReport:
     """Scan r(mu) = ||phi - phi_mu||^2 / mu^2 = 2 (s - c(mu)) / mu^2 over (0, M].
 
     Reports the grid minimum as kappa_lower (the extremal value; passes when
@@ -92,7 +90,7 @@ def scan_kappa(
         raise ValueError("steps must be >= 10")
     mus = np.linspace(M / steps, M, steps)
     s = self_inner(kernel)
-    r = 2.0 * (s - _cross_memo(kernel, mus, quadrature)) / np.square(mus)
+    r = 2.0 * (s - _cross_memo(kernel, mus)) / np.square(mus)
     i_min = int(np.argmin(r))
     i_max = int(np.argmax(r))
     lo, hi = float(r[i_min]), float(r[i_max])
@@ -120,7 +118,6 @@ def scan_cs_ratio(
     range_: float,
     steps: int,
     diagonal_margin: float,
-    quadrature: QuadratureSpec | None = None,
 ) -> ScanReport:
     """Scan R(a, b) on [-range, range]^2 with a != 0, b != 0 (d = 1 only).
 
@@ -147,10 +144,10 @@ def scan_cs_ratio(
     a = axis[:, None] + np.zeros_like(axis)[None, :]
     b = np.zeros_like(axis)[:, None] + axis[None, :]
     s = self_inner(kernel)
-    ca = _cross_memo(kernel, axis, quadrature)
+    ca = _cross_memo(kernel, axis)
     c_a = ca[:, None] + np.zeros(axis.shape[0])[None, :]
     c_b = np.zeros(axis.shape[0])[:, None] + ca[None, :]
-    c_ab = _cross_memo(kernel, a + b, quadrature)
+    c_ab = _cross_memo(kernel, a + b)
     num = np.abs(c_ab - c_a - c_b + s)
     den = 2.0 * np.sqrt((s - c_a) * (s - c_b))
     ratio = num / den
@@ -230,7 +227,6 @@ def scan_l2w2(
     mu_range: float,
     mu_steps: int,
     mu_min: float = 0.25,
-    quadrature: QuadratureSpec | None = None,
 ) -> ScanReport:
     """Minimum of ||f - f'||_2 / W2^2 over distinct grid pairs (d = 1).
 
@@ -249,7 +245,7 @@ def scan_l2w2(
             yield p, (lam, mu, MixtureParams(lam, mu))
 
     def ratio(p, q) -> float:
-        return math.sqrt(l2_distance_sq(kernel, p[2], q[2], quadrature)) / w2_squared(p[2], q[2])
+        return math.sqrt(l2_distance_sq(kernel, p[2], q[2])) / w2_squared(p[2], q[2])
 
     near = lambda_steps * mu_steps
     return _pair_scan(
@@ -268,7 +264,6 @@ def scan_crucial_inequality(
     mu_range: float,
     mu_steps: int,
     mu_min: float = 0.25,
-    quadrature: QuadratureSpec | None = None,
 ) -> ScanReport:
     """Minimum over ordered distinct pairs of
 
@@ -286,7 +281,7 @@ def scan_crucial_inequality(
     def ratio(p, q) -> float:
         (l1, m1, g1), (l2, m2, g2) = p, q
         den = (l1 - l2) ** 2 * m1 * m1 * m2 * m2 + l2 * l2 * m2 * m2 * (m1 - m2) ** 2
-        return l2_distance_sq(kernel, g1, g2, quadrature) / den
+        return l2_distance_sq(kernel, g1, g2) / den
 
     return _pair_scan(
         "crucial", kernel, lambda_steps, mu_range, mu_steps, mu_min,
@@ -295,9 +290,7 @@ def scan_crucial_inequality(
     )
 
 
-def decorrelation_profile(
-    kernel: Kernel, a_values, quadrature: QuadratureSpec | None = None
-) -> ScanReport:
+def decorrelation_profile(kernel: Kernel, a_values) -> ScanReport:
     """Tabulate <phi, phi_a> over increasing shifts and check the final decay.
 
     Passes when the value at the largest shift falls below a family threshold
@@ -309,7 +302,7 @@ def decorrelation_profile(
         raise ValueError("a_values must be a nonempty 1-d sequence")
     if np.any(a_values <= 0) or np.any(np.diff(a_values) <= 0):
         raise ValueError("a_values must be positive and strictly increasing")
-    c = _cross_memo(kernel, a_values, quadrature)
+    c = _cross_memo(kernel, a_values)
     s = self_inner(kernel)
     threshold = DECORRELATION_THRESHOLDS[kernel.family] * s
     final = float(c[-1])

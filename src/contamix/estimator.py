@@ -42,27 +42,26 @@ eps holds
   ||E_p||_2) summed over p, for FFT length L;
 * the rounding of the direct sum itself, u (c n + (n + c') max_j S_j), with
   c and c' bounding the rounding of the family's pdf;
+* the samples that are not binned, summed directly against every level: the
+  rounding of that sum and of adding it;
 
 and its own terms:
 
 * Gaussian (P = 8, T = 12): E_p = He_p phi.  By Cramer's bound |He_P(t)|
   e^{-t^2/4} <= 1.086435 sqrt(P!), |R_P| <= 1.086435 r_max^P / sqrt(2 pi P!)
-  per binned sample; each sample farther than T from every level adds at
-  most phi(T).
+  per binned sample.
 * Laplace (exact, T = 40): for b != k, exp(-|x - k h|) = exp(-|b - k| h)
   exp(-+r), so the weights are e^-r, e^r and e^-|r| against the one-sided
   tables e^{-|t|}/2 for t < 0 and t > 0 and the b = k term.  There is no
-  remainder; a far sample adds at most e^-40 / 2.
+  remainder.
 * Cauchy (P = 10, T = 30): phi^(p)(t) = (-1)^p p! Im[(t - i)^-(p+1)] / pi,
-  so |phi^(P)| <= P!/pi and |R_P| <= r_max^P / pi per sample.  The tails are
-  heavy, so the samples beyond T are summed directly against every level;
-  eps holds the rounding of that sum instead of a tail term.
+  so |phi^(P)| <= P!/pi and |R_P| <= r_max^P / pi per sample.
 * Skew-Gaussian (P = 12, T = 12): phi = 2 psi Psi(alpha .), by Leibniz with
   psi^(j) = (-1)^j He_j psi and d^k Psi(alpha t) = alpha^k (-1)^(k-1)
   He_(k-1)(alpha t) psi(alpha t); the tables are taken at -t, since the
   kernel is not symmetric.  Cramer's bound on each Leibniz term gives
-  sup |phi^(P)| <= d, |R_P| <= d r_max^P / P! per sample; a far sample adds
-  at most 2 psi(T).  A loose eps only recomputes more columns.
+  sup |phi^(P)| <= d, |R_P| <= d r_max^P / P! per sample.  A loose eps only
+  recomputes more columns.
 
 Skew inner products on the lattice.  The skew-Gaussian has no closed form
 for c(mu) = <phi, phi_mu>; ``cross_inner`` takes it by a 16 385-point
@@ -134,7 +133,7 @@ import math
 import numpy as np
 from scipy.special import erfc
 
-from .kernels import Kernel, cross_inner_many, default_quadrature, memo, pdf_many, self_inner
+from .kernels import SIMPSON_HALF_WIDTH, SIMPSON_PANELS, Kernel, cross_inner_many, memo, pdf_many, self_inner
 from .mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf_many
 
 __all__ = [
@@ -151,7 +150,7 @@ __all__ = [
 MAX_GRID_POINTS = 10 ** 9
 
 # rows-per-chunk targets keep temporaries around a few MB; the direct shift
-# sums (far Cauchy samples, candidate columns, d > 1) use chunks of 256 KB,
+# sums (far samples, candidate columns, d > 1) use chunks of 256 KB,
 # which keeps their temporaries below the lattice transform's
 _SHIFT_CHUNK_CELLS = 1 << 15
 _SCAN_CHUNK_CELLS = 1 << 20
@@ -289,11 +288,7 @@ def _direct_shift_sums(kernel: Kernel, mu_levels: np.ndarray, data: np.ndarray) 
     rows = max(1, _SHIFT_CHUNK_CELLS // n)
     for j0 in range(0, mu_levels.shape[0], rows):
         chunk = mu_levels[j0 : j0 + rows]
-        if kernel.dim == 1:
-            diff = data[None, :] - chunk[:, None]
-        else:
-            diff = data[None, :, :] - chunk[:, None, :]
-        sums[j0 : j0 + rows] = np.sum(pdf_many(kernel, diff), axis=1)
+        sums[j0 : j0 + rows] = np.sum(pdf_many(kernel, data[None] - chunk[:, None]), axis=1)
     return sums
 
 
@@ -341,12 +336,9 @@ def contrast(theta: MixtureParams, table: ContrastTable, mu_index: int) -> float
     """O(1) contrast at a grid point (theta.mu must be the level at mu_index)."""
     if not 0 <= mu_index < table.shift_sums.shape[0]:
         raise IndexError(f"mu_index {mu_index} out of range")
-    lam = theta.lam
-    n = table.sample_size
-    data_term = (1.0 - lam) * table.s0 + lam * table.shift_sums[mu_index]
-    norm_term = (lam * lam + (1.0 - lam) ** 2) * table.self_norm
-    cross_term = 2.0 * lam * (1.0 - lam) * table.inner_cache[mu_index]
-    return -2.0 / n * float(data_term) + norm_term + float(cross_term)
+    at = slice(mu_index, mu_index + 1)
+    gamma = _contrast_values(np.full(1, theta.lam), table, table.shift_sums[at], table.inner_cache[at])
+    return float(gamma[0])
 
 
 def contrast_naive(kernel: Kernel, theta: MixtureParams, data: np.ndarray) -> float:
@@ -361,7 +353,7 @@ def contrast_naive(kernel: Kernel, theta: MixtureParams, data: np.ndarray) -> fl
 def _contrast_values(lam: np.ndarray, table: ContrastTable, s: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The contrast at lambda ``lam`` and the mu levels with shift sums ``s``
     and inner products ``c`` (broadcast together): the one expression every
-    scan evaluates, so equal inputs give equal bits."""
+    scan and ``contrast`` evaluate, so equal inputs give equal bits."""
     n = table.sample_size
     a0 = (-2.0 / n) * (1.0 - lam) * table.s0 + (lam ** 2 + (1.0 - lam) ** 2) * table.self_norm
     return a0 + (-2.0 / n) * lam * s + 2.0 * lam * (1.0 - lam) * c
@@ -412,8 +404,7 @@ class _LatticeSpec:
     """
 
     kernel: Kernel
-    far: float               # cutoff T: samples farther than T from every level are not binned
-    tail: float | None       # >= phi(t) for |t| >= T; None: far samples are summed directly
+    far: float               # cutoff T: samples farther than T from every level are summed directly
     lip: float               # >= sup |phi'|, against the rounding of the offsets
     eval_abs: float          # rounding of precompute's pdf: eval_abs u per sample
     eval_rel: int            # plus (n + eval_rel) u times the largest sum
@@ -545,7 +536,6 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
     def inner_bound(plan, k_max):
         # e >= max_j |c~_j - c_j| against the Simpson values c_j of
         # ``cross_inner``; the module docstring derives each term
-        quad = default_quadrature(kernel)
         mu_max = k_max * plan.h
         count = 2 * (plan.bins + k_max) + 1  # table entries
         # every term a rule leaves out or wraps has a factor phi(t) <= 2 psi(t)
@@ -563,18 +553,17 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
         # Simpson on a window of width <= `width`: its h^4 term and the window
         # tail; the rounding of its nodes, pdf values and products; then of
         # its dot product and scaling
-        width = 2.0 * quad.half_width + mu_max
-        simpson = width * (width / quad.panels) ** 4 * sup_f4 / 180.0 + tail
+        width = 2.0 * SIMPSON_HALF_WIDTH + mu_max
+        simpson = width * (width / SIMPSON_PANELS) ** 4 * sup_f4 / 180.0 + tail
         node = 8.0 * _U * (width + mu_max)
         pdf_err = _U * (eval_abs + eval_rel * _SKEW_SUP)
         simpson += width * _SKEW_SUP * (2.0 * pdf_err + 2.0 * lip * node + _U * _SKEW_SUP)
-        return e + simpson + (quad.panels + 8) * _U * (_SKEW_SUP + simpson)
+        return e + simpson + (SIMPSON_PANELS + 8) * _U * (_SKEW_SUP + simpson)
 
     return _taylor_spec(
         kernel,
         order,
         far=12.0,
-        tail=2.0 * float(pdf_many(_GAUSS, 12.0)),
         lip=lip,
         eval_abs=eval_abs,
         eval_rel=eval_rel,
@@ -588,7 +577,6 @@ _GAUSS_SPEC = _taylor_spec(
     _GAUSS,
     _GAUSS_ORDER,
     far=12.0,
-    tail=float(pdf_many(_GAUSS, 12.0)),
     lip=0.25,
     eval_abs=0.5,
     eval_rel=6,
@@ -600,7 +588,6 @@ _GAUSS_SPEC = _taylor_spec(
 _LAPLACE_SPEC = _LatticeSpec(
     kernel=Kernel("laplace"),
     far=40.0,
-    tail=0.5 * math.exp(-40.0),
     lip=0.5,
     eval_abs=0.5,
     eval_rel=6,
@@ -615,7 +602,6 @@ _CAUCHY_SPEC = _taylor_spec(
     Kernel("cauchy"),
     _CAUCHY_ORDER,
     far=30.0,
-    tail=None,
     lip=0.25,
     eval_abs=0.5,
     eval_rel=8,
@@ -731,14 +717,11 @@ def _lattice_shift_sums(spec: _LatticeSpec, grid: Grid, data: np.ndarray) -> tup
     # truncation; far samples; offset rounding; moment and table rounding;
     # FFT round-off; then the direct sum's own rounding
     eps = spec.remainder(m, r_max)
-    if spec.tail is None:
-        far = data[~is_near]
-        if far.size:
-            sums += _direct_shift_sums(spec.kernel, grid.mu_levels, far)
-        # rounding of the far samples' direct sums and of adding them
-        eps += _U * (spec.eval_abs * far.size + (far.size + spec.eval_rel + 1) * float(np.max(np.abs(sums))))
-    else:
-        eps += 2.0 * (n - m) * spec.tail
+    far = data[~is_near]
+    if far.size:
+        sums += _direct_shift_sums(spec.kernel, grid.mu_levels, far)
+    # rounding of the far samples' direct sums and of adding them
+    eps += _U * (spec.eval_abs * far.size + (far.size + spec.eval_rel + 1) * float(np.max(np.abs(sums))))
     eps += spec.lip * m * 8.0 * _U * (bins + k_max + 1) * plan.h
     eps += float(np.sum(l1 * ((m + spec.weight_ulps) * _U * plan.peak + plan.table_err)))
     fft_gain = (14.0 * math.log2(plan.size) + order + 4) * _U

@@ -9,10 +9,10 @@ driven by two quantities computed here:
 * ``cross_inner`` -- the translation inner product  <phi, phi(. - mu)>.
 
 Gaussian, Laplace and Cauchy admit exact closed forms.  The skew-Gaussian
-does not, so its inner products are evaluated by deterministic composite
-Simpson quadrature on a window wide enough that the neglected tail mass is
-below ``QuadratureSpec.tail_tolerance``; a seeded Monte-Carlo estimate
-(``mc_inner``) is kept as an independent cross-check.
+does not, so its inner products are evaluated by one fixed composite Simpson
+rule (``SIMPSON_PANELS`` panels on a window reaching ``SIMPSON_HALF_WIDTH``
+beyond 0 and mu, which leaves a tail mass below 1e-12); a seeded Monte-Carlo
+estimate (``mc_inner``) is kept as an independent cross-check.
 
 Only the Gaussian family is defined for dimension d > 1 (it is the only one
 with a d-dimensional closed-form inner product); the other families are
@@ -29,8 +29,6 @@ from scipy.special import erfc
 __all__ = [
     "FAMILIES",
     "Kernel",
-    "QuadratureSpec",
-    "default_quadrature",
     "pdf",
     "pdf_many",
     "self_inner",
@@ -46,11 +44,10 @@ FAMILIES = ("gaussian", "laplace", "cauchy", "skew_gaussian")
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_2 = math.sqrt(2.0)
 
-# Quadrature half-widths per family, sized so that the neglected tail mass of
-# the inner-product integrand stays below 1e-12.  The Cauchy family never
-# goes through quadrature (closed form only; polynomial tails would need an
-# enormous window).
-_HALF_WIDTH = {"gaussian": 12.0, "laplace": 30.0, "skew_gaussian": 12.0}
+# The skew-Gaussian Simpson rule: its window reaches SIMPSON_HALF_WIDTH beyond
+# 0 and mu, so the neglected tail mass of the integrand stays below 1e-12.
+SIMPSON_HALF_WIDTH = 12.0
+SIMPSON_PANELS = 16384
 
 
 @dataclass(frozen=True)
@@ -73,28 +70,6 @@ class Kernel:
             raise ValueError("dim must be a positive integer")
         if self.dim > 1 and self.family != "gaussian":
             raise ValueError("dim > 1 is only supported for the gaussian family")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite-Simpson settings for inner products without a closed form."""
-
-    half_width: float
-    panels: int = 16384
-    tail_tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-        if self.panels < 2 or self.panels % 2 != 0:
-            raise ValueError("panels must be a positive even integer")
-
-
-def default_quadrature(kernel: Kernel) -> QuadratureSpec:
-    """Family default quadrature window; Cauchy has none (closed form only)."""
-    if kernel.family == "cauchy":
-        raise ValueError("cauchy inner products use the closed form, not quadrature")
-    return QuadratureSpec(half_width=_HALF_WIDTH[kernel.family])
 
 
 # ----------------------------- density evaluation -----------------------------
@@ -158,19 +133,19 @@ def self_inner(kernel: Kernel) -> float:
     return cross_inner(kernel, np.zeros(kernel.dim) if kernel.dim > 1 else 0.0)
 
 
-def _skew_cross_quadrature(kernel: Kernel, mu: float, spec: QuadratureSpec) -> float:
+def _skew_cross_quadrature(kernel: Kernel, mu: float) -> float:
     """Composite Simpson for <phi, phi_mu> of the skew-Gaussian.
 
     The integrand decays like exp(-(x - mu/2)^2), so a window covering
-    [min(0, mu) - L, max(0, mu) + L] keeps the truncated tail far below
-    ``spec.tail_tolerance``.
+    [min(0, mu) - L, max(0, mu) + L], L = ``SIMPSON_HALF_WIDTH``, keeps the
+    truncated tail below 1e-12.
     """
-    lo = min(0.0, mu) - spec.half_width
-    hi = max(0.0, mu) + spec.half_width
-    xs = np.linspace(lo, hi, spec.panels + 1)
+    lo = min(0.0, mu) - SIMPSON_HALF_WIDTH
+    hi = max(0.0, mu) + SIMPSON_HALF_WIDTH
+    xs = np.linspace(lo, hi, SIMPSON_PANELS + 1)
     vals = pdf_many(kernel, xs) * pdf_many(kernel, xs - mu)
-    h = (hi - lo) / spec.panels
-    w = np.ones(spec.panels + 1)
+    h = (hi - lo) / SIMPSON_PANELS
+    w = np.ones(SIMPSON_PANELS + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(np.dot(w, vals) * (h / 3.0))
@@ -198,17 +173,16 @@ def memo(store: dict, key, fill, limit: int):
     return hit
 
 
-# Skew-Gaussian quadrature results, keyed on (alpha, shift, window, panels).
+# Skew-Gaussian quadrature results, keyed on (alpha, shift).
 _SKEW_CACHE: dict[tuple, float] = {}
 _SKEW_LIMIT = 1 << 14
 
 
-def cross_inner(kernel: Kernel, mu, quadrature: QuadratureSpec | None = None) -> float:
+def cross_inner(kernel: Kernel, mu) -> float:
     """Translation inner product ``<phi, phi(. - mu)>``.
 
-    Exact closed form for gaussian / laplace / cauchy; deterministic Simpson
-    quadrature for skew_gaussian (``quadrature`` overrides the family default
-    there and is ignored for the closed-form families).
+    Exact closed form for gaussian / laplace / cauchy; the fixed Simpson rule
+    for skew_gaussian.
     """
     mu = np.asarray(mu, dtype=float)
     if kernel.dim > 1:
@@ -220,12 +194,10 @@ def cross_inner(kernel: Kernel, mu, quadrature: QuadratureSpec | None = None) ->
     m = float(mu.reshape(()))
     if kernel.family in _CROSS:
         return _CROSS[kernel.family](m, math.exp)
-    spec = quadrature if quadrature is not None else default_quadrature(kernel)
-    key = (kernel.alpha, m, spec.half_width, spec.panels)
-    return memo(_SKEW_CACHE, key, lambda: _skew_cross_quadrature(kernel, m, spec), _SKEW_LIMIT)
+    return memo(_SKEW_CACHE, (kernel.alpha, m), lambda: _skew_cross_quadrature(kernel, m), _SKEW_LIMIT)
 
 
-def cross_inner_many(kernel: Kernel, mus, quadrature: QuadratureSpec | None = None) -> np.ndarray:
+def cross_inner_many(kernel: Kernel, mus) -> np.ndarray:
     """``cross_inner`` over an array of shifts (shape (m,) for dim 1, (m, d) else)."""
     mus = np.asarray(mus, dtype=float)
     if kernel.dim > 1:
@@ -235,7 +207,7 @@ def cross_inner_many(kernel: Kernel, mus, quadrature: QuadratureSpec | None = No
     mus = np.atleast_1d(mus)
     if kernel.family in _CROSS:
         return _CROSS[kernel.family](mus, np.exp)
-    return np.array([cross_inner(kernel, m, quadrature) for m in mus])
+    return np.array([cross_inner(kernel, m) for m in mus])
 
 
 # Monte-Carlo draws per chunk: a few MB of temporaries for any draw count.

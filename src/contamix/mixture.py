@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, QuadratureSpec, cross_inner, pdf_many, sample_with_rng, self_inner
+from .kernels import Kernel, cross_inner, pdf_many, sample_with_rng, self_inner
 
 __all__ = [
     "MixtureParams",
@@ -77,23 +77,16 @@ def mixture_pdf(kernel: Kernel, theta: MixtureParams, x) -> float:
     return float(mixture_pdf_many(kernel, theta, x))
 
 
-def mixture_l2_norm_sq(
-    kernel: Kernel, theta: MixtureParams, quadrature: QuadratureSpec | None = None
-) -> float:
+def mixture_l2_norm_sq(kernel: Kernel, theta: MixtureParams) -> float:
     """Exact squared L2 norm:  [lam^2 + (1-lam)^2] ||phi||^2 + 2 lam (1-lam) <phi, phi_mu>."""
     _check_dim(kernel, theta)
     lam = theta.lam
     s = self_inner(kernel)
-    c = cross_inner(kernel, _mu_arg(theta), quadrature)
+    c = cross_inner(kernel, _mu_arg(theta))
     return (lam * lam + (1.0 - lam) ** 2) * s + 2.0 * lam * (1.0 - lam) * c
 
 
-def l2_distance_sq(
-    kernel: Kernel,
-    theta1: MixtureParams,
-    theta2: MixtureParams,
-    quadrature: QuadratureSpec | None = None,
-) -> float:
+def l2_distance_sq(kernel: Kernel, theta1: MixtureParams, theta2: MixtureParams) -> float:
     """Exact  ||f_theta1 - f_theta2||_2^2  from kernel inner products.
 
     The difference expands as (lam2 - lam1) phi + lam1 phi_mu1 - lam2 phi_mu2,
@@ -108,10 +101,10 @@ def l2_distance_sq(
         theta1, theta2 = theta2, theta1
     l1, l2 = theta1.lam, theta2.lam
     s = self_inner(kernel)
-    c1 = cross_inner(kernel, _mu_arg(theta1), quadrature)
-    c2 = cross_inner(kernel, _mu_arg(theta2), quadrature)
+    c1 = cross_inner(kernel, _mu_arg(theta1))
+    c2 = cross_inner(kernel, _mu_arg(theta2))
     d12 = theta1.mu - theta2.mu
-    c12 = cross_inner(kernel, float(d12[0]) if theta1.dim == 1 else d12, quadrature)
+    c12 = cross_inner(kernel, float(d12[0]) if theta1.dim == 1 else d12)
     a = l2 - l1
     val = (
         (a * a + l1 * l1 + l2 * l2) * s

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from contamix.certify import (
     scan_kappa,
     scan_l2w2,
 )
-from contamix.kernels import Kernel, QuadratureSpec, cross_inner, self_inner
+from contamix.kernels import Kernel, cross_inner, self_inner
 from contamix.metrics import w2_squared
 from contamix.mixture import MixtureParams, l2_distance_sq
+
+from conftest import cross_oracle
 
 GAUSS = Kernel("gaussian")
 CAUCHY = Kernel("cauchy")
@@ -235,21 +238,25 @@ class TestDecorrelation:
 
 
 class TestQuadratureStability:
-    def test_closed_form_scans_ignore_quadrature(self):
-        base = scan_kappa(GAUSS, 3.0, 100)
-        doubled = scan_kappa(GAUSS, 3.0, 100, QuadratureSpec(half_width=12.0, panels=2 ** 15))
-        assert base.extremal_value == doubled.extremal_value
-
+    # the scans' Simpson inner products against an independent rule with
+    # twice the panels
     def test_skew_scan_quadrature_converged(self):
-        spec = QuadratureSpec(half_width=12.0, panels=2 ** 14)
-        doubled = QuadratureSpec(half_width=12.0, panels=2 ** 15)
-        a = scan_kappa(SKEW, 3.0, 100, spec)
-        b = scan_kappa(SKEW, 3.0, 100, doubled)
-        assert abs(a.extremal_value - b.extremal_value) < 1e-6 * abs(b.extremal_value)
+        rep = scan_kappa(SKEW, 3.0, 100)
+        s = cross_oracle(SKEW, 0.0, 2 ** 15)
+        mus = rep.surface[:, 0]
+        r = np.array([2.0 * (s - cross_oracle(SKEW, mu, 2 ** 15)) / mu ** 2 for mu in mus])
+        assert abs(rep.extremal_value - r.min()) < 1e-6 * abs(r.min())
 
     def test_skew_l2w2_quadrature_converged(self):
-        spec = QuadratureSpec(half_width=12.0, panels=2 ** 14)
-        doubled = QuadratureSpec(half_width=12.0, panels=2 ** 15)
-        a = scan_l2w2(SKEW, 4, 2.0, 5, quadrature=spec)
-        b = scan_l2w2(SKEW, 4, 2.0, 5, quadrature=doubled)
-        assert abs(a.extremal_value - b.extremal_value) < 1e-6 * abs(b.extremal_value)
+        rep = scan_l2w2(SKEW, 4, 2.0, 5)
+        cross = functools.cache(lambda mu: cross_oracle(SKEW, mu, 2 ** 15))
+        s = cross(0.0)
+        ratios = []
+        for l1, m1, l2, m2, _ in rep.surface:
+            a = l2 - l1
+            dist = (a * a + l1 * l1 + l2 * l2) * s + 2.0 * a * l1 * cross(m1) - 2.0 * a * l2 * cross(m2)
+            dist -= 2.0 * l1 * l2 * cross(m1 - m2)
+            g1, g2 = MixtureParams(l1, m1), MixtureParams(l2, m2)
+            ratios.append(math.sqrt(max(dist, 0.0)) / w2_squared(g1, g2))
+        best = min(ratios)
+        assert abs(rep.extremal_value - best) < 1e-6 * abs(best)

@@ -164,6 +164,25 @@ class TestInnerProduct:
         assert out == ""
         assert "--mu" in err and "Traceback" not in err
 
+    def test_extra_coordinates_usage_error(self):
+        code, out, err = run_cli("inner-product", "--kernel", "gaussian", "--mu", "1,2")
+        assert code == 1
+        assert out == ""
+        assert "--mu" in err and "Traceback" not in err
+
+    def test_missing_coordinates_usage_error(self):
+        code, out, err = run_cli("inner-product", "--kernel", "gaussian", "--dim", "2", "--mu", "1")
+        assert code == 1
+        assert out == ""
+        assert "--mu" in err and "Traceback" not in err
+
+    def test_dim2_shift(self):
+        code, out, _ = run_cli("inner-product", "--kernel", "gaussian", "--dim", "2", "--mu", "1,2")
+        assert code == 0
+        assert float(parse_kv(out)["inner_product"]) == cross_inner(
+            Kernel("gaussian", dim=2), np.array([1.0, 2.0])
+        )
+
     def test_matches_library(self):
         code, out, _ = run_cli(
             "inner-product", "--kernel", "skew_gaussian", "--alpha", "10", "--mu", "1.0"

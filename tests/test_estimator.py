@@ -18,8 +18,10 @@ from contamix.estimator import (
     estimate,
     precompute,
 )
-from contamix.kernels import Kernel, QuadratureSpec, cross_inner, cross_inner_many, pdf, self_inner
+from contamix.kernels import Kernel, cross_inner, cross_inner_many, pdf, self_inner
 from contamix.mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf, sample_mixture
+
+from conftest import cross_oracle
 
 GAUSS = Kernel("gaussian")
 
@@ -164,6 +166,18 @@ class TestContrast:
         theta = MixtureParams(0.5, 1.0)
         expected = -2.0 * mixture_pdf(GAUSS, theta, x) + mixture_l2_norm_sq(GAUSS, theta)
         assert contrast_naive(GAUSS, theta, data) == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [50, 500])
+    def test_equals_estimate_at_winner(self, any_kernel, n):
+        # the public contrast and every scan share one expression, so the
+        # winner's value is reproduced bit for bit
+        grid = build_grid(n, 3.0, 1)
+        for seed in range(6):
+            data = sample_mixture(any_kernel, MixtureParams(0.3, 1.5), n, seed=seed)
+            res = estimate(any_kernel, data, 3.0)
+            table = precompute(any_kernel, grid, data)
+            theta = MixtureParams(res.lambda_hat, res.mu_hat)
+            assert contrast(theta, table, res.mu_index) == res.contrast_value
 
     def test_index_out_of_range(self):
         g = build_grid(4, 1.0, 1)
@@ -396,8 +410,7 @@ class TestLatticeFamilies:
         if kernel.family == "skew_gaussian":
             # a coarse Simpson rule keeps each example's cold grid fill cheap;
             # near mu = 0 it can exceed ||phi||^2, giving concave columns
-            levels = build_grid(n, M, 1).mu_levels
-            inner = cross_inner_many(kernel, levels, QuadratureSpec(12.0, panels=256))
+            inner = np.array([cross_oracle(kernel, m, 256) for m in build_grid(n, M, 1).mu_levels])
         assert_lattice_scan_exact(data, M, kernel, inner)
 
     @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
@@ -536,9 +549,9 @@ class TestSkewLatticeInner:
         levels = []
         real = kernels._skew_cross_quadrature
 
-        def spy(kernel, mu, spec):
+        def spy(kernel, mu):
             levels.append(mu)
-            return real(kernel, mu, spec)
+            return real(kernel, mu)
 
         monkeypatch.setattr(kernels, "_skew_cross_quadrature", spy)
         monkeypatch.setattr(kernels, "_SKEW_CACHE", {})

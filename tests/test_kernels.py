@@ -13,10 +13,8 @@ from scipy import integrate
 from contamix import kernels
 from contamix.kernels import (
     Kernel,
-    QuadratureSpec,
     cross_inner,
     cross_inner_many,
-    default_quadrature,
     mc_inner,
     pdf,
     pdf_many,
@@ -24,7 +22,7 @@ from contamix.kernels import (
     self_inner,
 )
 
-from conftest import simpson_oracle
+from conftest import cross_oracle
 
 GAUSS = Kernel("gaussian")
 LAPLACE = Kernel("laplace")
@@ -38,13 +36,7 @@ ORACLE_PANELS = {"gaussian": 2 ** 15, "laplace": 2 ** 20, "cauchy": 2 ** 21, "sk
 
 
 def oracle_cross(kernel: Kernel, mu: float) -> float:
-    L = ORACLE_WINDOWS[kernel.family]
-    lo = min(0.0, mu) - L
-    hi = max(0.0, mu) + L
-    return simpson_oracle(
-        lambda xs: pdf_many(kernel, xs) * pdf_many(kernel, xs - mu),
-        lo, hi, ORACLE_PANELS[kernel.family],
-    )
+    return cross_oracle(kernel, mu, ORACLE_PANELS[kernel.family], ORACLE_WINDOWS[kernel.family])
 
 
 class TestValidation:
@@ -71,12 +63,6 @@ class TestValidation:
         Kernel("gaussian", dim=3)
         with pytest.raises(ValueError):
             Kernel("laplace", dim=2)
-
-    def test_quadrature_spec(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(half_width=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(half_width=10.0, panels=7)
 
     def test_pdf_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -291,27 +277,13 @@ class TestSample:
 
 
 class TestQuadratureDefaults:
-    def test_windows(self):
-        assert default_quadrature(GAUSS).half_width == 12.0
-        assert default_quadrature(LAPLACE).half_width == 30.0
-        assert default_quadrature(SKEW).half_width == 12.0
-
-    def test_cauchy_has_none(self):
-        with pytest.raises(ValueError):
-            default_quadrature(CAUCHY)
-
     def test_skew_quadrature_converged(self):
-        # doubling the panel count moves the value by far less than 1e-8
-        coarse = cross_inner(SKEW, 1.3)
-        fine = cross_inner(SKEW, 1.3, QuadratureSpec(half_width=12.0, panels=2 ** 15))
-        assert abs(coarse - fine) < 1e-8
+        # an independent rule with twice the panels agrees to far below 1e-8
+        assert abs(cross_inner(SKEW, 1.3) - cross_oracle(SKEW, 1.3, 2 ** 15)) < 1e-8
 
     def test_tail_mass_below_tolerance(self):
-        # the default windows leave less tail mass than the declared tolerance
-        from scipy import integrate
-
-        for kernel in (GAUSS, LAPLACE, SKEW):
-            spec = default_quadrature(kernel)
-            tail, _ = integrate.quad(lambda x: pdf(kernel, x), spec.half_width, np.inf)
-            tail_lo, _ = integrate.quad(lambda x: pdf(kernel, x), -np.inf, -spec.half_width)
-            assert tail + tail_lo < spec.tail_tolerance
+        # the Simpson window leaves less than 1e-12 of the skew density's mass
+        width = kernels.SIMPSON_HALF_WIDTH
+        tail, _ = integrate.quad(lambda x: pdf(SKEW, x), width, np.inf)
+        tail_lo, _ = integrate.quad(lambda x: pdf(SKEW, x), -np.inf, -width)
+        assert tail + tail_lo < 1e-12
