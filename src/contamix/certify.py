@@ -70,13 +70,6 @@ class ScanReport:
     surface: np.ndarray | None = None
 
 
-def _cross_memo(kernel: Kernel, values: np.ndarray) -> np.ndarray:
-    """cross_inner over an array, deduplicated (matters for skew quadrature)."""
-    uniq, inverse = np.unique(np.asarray(values, dtype=float).reshape(-1), return_inverse=True)
-    c = cross_inner_many(kernel, uniq)
-    return c[inverse].reshape(np.shape(values))
-
-
 def scan_kappa(kernel: Kernel, M: float, steps: int) -> ScanReport:
     """Scan r(mu) = ||phi - phi_mu||^2 / mu^2 = 2 (s - c(mu)) / mu^2 over (0, M].
 
@@ -90,7 +83,7 @@ def scan_kappa(kernel: Kernel, M: float, steps: int) -> ScanReport:
         raise ValueError("steps must be >= 10")
     mus = np.linspace(M / steps, M, steps)
     s = self_inner(kernel)
-    r = 2.0 * (s - _cross_memo(kernel, mus)) / np.square(mus)
+    r = 2.0 * (s - cross_inner_many(kernel, mus)) / np.square(mus)
     i_min = int(np.argmin(r))
     i_max = int(np.argmax(r))
     lo, hi = float(r[i_min]), float(r[i_max])
@@ -144,10 +137,10 @@ def scan_cs_ratio(
     a = axis[:, None] + np.zeros_like(axis)[None, :]
     b = np.zeros_like(axis)[:, None] + axis[None, :]
     s = self_inner(kernel)
-    ca = _cross_memo(kernel, axis)
+    ca = cross_inner_many(kernel, axis)
     c_a = ca[:, None] + np.zeros(axis.shape[0])[None, :]
     c_b = np.zeros(axis.shape[0])[:, None] + ca[None, :]
-    c_ab = _cross_memo(kernel, a + b)
+    c_ab = cross_inner_many(kernel, a + b)
     num = np.abs(c_ab - c_a - c_b + s)
     den = 2.0 * np.sqrt((s - c_a) * (s - c_b))
     ratio = num / den
@@ -302,7 +295,7 @@ def decorrelation_profile(kernel: Kernel, a_values) -> ScanReport:
         raise ValueError("a_values must be a nonempty 1-d sequence")
     if np.any(a_values <= 0) or np.any(np.diff(a_values) <= 0):
         raise ValueError("a_values must be positive and strictly increasing")
-    c = _cross_memo(kernel, a_values)
+    c = cross_inner_many(kernel, a_values)
     s = self_inner(kernel)
     threshold = DECORRELATION_THRESHOLDS[kernel.family] * s
     final = float(c[-1])

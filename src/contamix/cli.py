@@ -121,6 +121,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     try:
         config = load_config(args.config)
         if args.paper:

@@ -63,17 +63,21 @@ and its own terms:
   sup |phi^(P)| <= d, |R_P| <= d r_max^P / P! per sample.  A loose eps only
   recomputes more columns.
 
-Skew inner products on the lattice.  The skew-Gaussian has no closed form
-for c(mu) = <phi, phi_mu>; ``cross_inner`` takes it by a 16 385-point
-Simpson rule, about 0.75 ms per mu level.  Its lattice plan instead holds
-the trapezoid rule on the lattice,
+Inner products on the lattice.  A 1-d grid's lattice plan (``_LatticePlan``,
+memoised per kernel, n and k_max) holds the family's spec, the spectra of
+its tables and the grid's inner products c~_j with a bound e >= max_j |c~_j
+- c_j| against the values c_j of ``cross_inner``.  For the closed forms c~
+is ``cross_inner_many`` on the mu levels and e = 0.  The skew-Gaussian has
+no closed form for c(mu) = <phi, phi_mu>; ``cross_inner`` takes it by a
+16 385-point Simpson rule, about 0.75 ms per mu level.  Its plan instead
+holds the trapezoid rule on the lattice,
 
     c~(k h) = h sum_m phi(m h) phi((m - k) h),
 
 one autocorrelation of the E_0 table (the irfft of its spectrum times its
-conjugate), and a bound e >= max_j |c~_j - c_j| against the Simpson values
-c_j.  The skew-normal characteristic function is chi(t) = e^{-t^2/2} (1 +
-i erfi(delta t / sqrt 2)), delta = alpha / sqrt(1 + alpha^2) (Azzalini 1985);
+conjugate), and e against the Simpson values c_j.  The skew-normal
+characteristic function is chi(t) = e^{-t^2/2} (1 + i erfi(delta t / sqrt
+2)), delta = alpha / sqrt(1 + alpha^2) (Azzalini 1985);
 Dawson's function is at most 0.54105, so |erfi(x)| <= 0.6106 e^{x^2} and
 |chi(t)| <= 1.6106 exp(-t^2 / (2 s^2)), s^2 = 1 + alpha^2.  The transform of
 f = phi phi_mu is a convolution of two such, so |f^(w)| <= 0.7318 s
@@ -112,22 +116,23 @@ Either way a loose e only recomputes more columns.
 At n = 5000 eps is a few 1e-12 of max S for every family.  The certified
 scan evaluates the contrast from the approximate sums and inner products,
 whose error is at most delta = (2/n) eps + e/2 (as 2 lam (1 - lam) <= 1/2;
-e = 0 for the closed forms and for explicit ``inner_products``) plus the
-rounding slack of the two evaluations.  For fixed mu the contrast is a
-quadratic in lambda, so each column's least value comes from four lambda
-levels (``_column_minima``), widened by a stated slack rho for rounding near
-a flat vertex.  Every mu column whose minimum lies within 2 delta + rho of
-the global minimum may hold the exact minimum or one of its ties; those
-columns (usually one) are recomputed by ``precompute`` on that sub-grid,
-with the skew-Gaussian's Simpson values taken by ``cross_inner_many`` on
-those columns only, and scanned by ``_scan_table``.  The other columns are
-strictly worse, so ``(lambda_index, mu_index, contrast_value)`` is
-bit-identical to a full ``precompute`` and ``_scan_table`` run, for explicit
-``inner_products`` too.  d > 1 uses that direct path.
+explicit ``inner_products`` count as exact, e = 0) plus the rounding slack
+of the two evaluations.  For fixed mu the contrast is a quadratic in lambda,
+so each column's least value comes from four lambda levels
+(``_column_minima``), widened by a stated slack rho for rounding near a flat
+vertex.  Every mu column whose minimum lies within 2 delta + rho of the
+global minimum may hold the exact minimum or one of its ties; those columns
+(usually one) are recomputed by ``precompute`` on that sub-grid, with the
+values of ``cross_inner_many`` on those columns only when e > 0, and
+scanned by ``_scan_table``.  The other columns are strictly worse, so
+``(lambda_index, mu_index, contrast_value)`` is bit-identical to a full
+``precompute`` and ``_scan_table`` run, for explicit ``inner_products``
+too.  d > 1 uses that direct path, with the inner products of
+``cross_inner_many``.
 """
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -148,6 +153,9 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 10 ** 9
+# Each mu level costs floats in the grid, the shift sums and the lattice
+# plan (FFT length > 2 q), so memory needs a bound on the level count q.
+MAX_MU_LEVELS = 2 ** 20
 
 # rows-per-chunk targets keep temporaries around a few MB; the direct shift
 # sums (far samples, candidate columns, d > 1) use chunks of 256 KB,
@@ -182,7 +190,6 @@ class Grid:
     lambda_levels: np.ndarray  # (p,), i/sqrt(n) for i = 1..floor(sqrt(n))
     mu_levels: np.ndarray      # (q,) in dim 1, (q, d) otherwise
     n: int
-    M: float
 
     @property
     def dim(self) -> int:
@@ -232,10 +239,11 @@ def build_grid(n: int, M: float, d: int = 1) -> Grid:
     k_max = math.floor(M * root + 1e-12)
     if k_max < 1:
         raise ValueError(f"M sqrt(n) < 1: the mu grid is empty (M={M}, n={n})")
-    if (2 * k_max) ** d * p > MAX_GRID_POINTS:
+    q = (2 * k_max) ** d
+    if q > MAX_MU_LEVELS or q * p > MAX_GRID_POINTS:
         raise ValueError(
-            f"grid would hold {(2 * k_max) ** d * p} points (> {MAX_GRID_POINTS}); "
-            "reduce M, n or d"
+            f"grid would hold {q} mu levels and {q * p} points (bounds {MAX_MU_LEVELS} "
+            f"and {MAX_GRID_POINTS}); reduce M, n or d"
         )
     lam = np.arange(1, p + 1, dtype=float) / root
     ks = np.arange(1, k_max + 1, dtype=float)
@@ -247,27 +255,13 @@ def build_grid(n: int, M: float, d: int = 1) -> Grid:
         mu = np.stack([m.reshape(-1) for m in mesh], axis=1)
     lam.setflags(write=False)
     mu.setflags(write=False)
-    return Grid(lambda_levels=lam, mu_levels=mu, n=n, M=float(M))
-
-
-# Per-grid inner products depend only on (kernel, grid), not on the data, so
-# they are shared across replicates (and filled once, see ``kernels.memo``).
-_INNER_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _grid_inner_products(kernel: Kernel, grid: Grid) -> np.ndarray:
-    def fill():
-        vals = cross_inner_many(kernel, grid.mu_levels)
-        vals.setflags(write=False)
-        return vals
-
-    return memo(_INNER_CACHE, (kernel, grid.n, grid.M, grid.dim), fill, 16)
+    return Grid(lambda_levels=lam, mu_levels=mu, n=n)
 
 
 def _inner_products(kernel: Kernel, grid: Grid, inner_products: np.ndarray | None) -> np.ndarray:
-    """The explicit ``inner_products``, checked, or else the per-grid ones."""
+    """The explicit ``inner_products``, checked, or else ``cross_inner_many``'s."""
     if inner_products is None:
-        return _grid_inner_products(kernel, grid)
+        return cross_inner_many(kernel, grid.mu_levels)
     inner_products = np.asarray(inner_products, dtype=float)
     q = grid.mu_levels.shape[0]
     if inner_products.shape != (q,):
@@ -302,8 +296,8 @@ def precompute(
 
     Shift sums are streamed over mu levels in fixed-size chunks (no n x q
     matrix is materialized), costing O(n q) kernel evaluations.  An explicit
-    ``inner_products`` array (one entry per mu level) replaces the default
-    per-grid inner products; the Monte-Carlo fidelity mode of the simulation
+    ``inner_products`` array (one entry per mu level) replaces the values of
+    ``cross_inner_many``; the Monte-Carlo fidelity mode of the simulation
     harness uses this hook.
     """
     data = np.asarray(data, dtype=float)
@@ -413,7 +407,9 @@ class _LatticeSpec:
     weight_l1: Callable      # (m, r_max) -> (P,) bounds on ||A_p||_1 over m binned samples
     tables: Callable         # t -> ((P, len t) tables E_p(t), (P,) bound on each entry's rounding)
     remainder: Callable      # (m, r_max) -> bound on the truncation error of m binned samples
-    inner_bound: Callable | None = None  # (plan, k_max) -> e; None: closed-form inner products
+    # (root, k_max, half, L, E_0's rounding, ||E_0||_1, ||E_0||_2) -> the bound
+    # e of the lattice inner products; None: closed-form inner products
+    inner_bound: Callable | None = None
 
 
 def _hermite(t: np.ndarray, count: int):
@@ -533,22 +529,23 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
     eval_abs, eval_rel = 2.0, 16
     spread = math.hypot(1.0, alpha)  # |chi(t)| <= 1.6106 exp(-t^2 / (2 spread^2))
 
-    def inner_bound(plan, k_max):
+    def inner_bound(root, k_max, half, size, table_err, norm1, norm2):
         # e >= max_j |c~_j - c_j| against the Simpson values c_j of
         # ``cross_inner``; the module docstring derives each term
-        mu_max = k_max * plan.h
-        count = 2 * (plan.bins + k_max) + 1  # table entries
+        h = 1.0 / root
+        mu_max = k_max * h
+        count = 2 * half + 1  # table entries
         # every term a rule leaves out or wraps has a factor phi(t) <= 2 psi(t)
         # at |t| >= 11, and the other factor at most _SKEW_SUP
         tail = 8.0 * _SKEW_SUP * (_PSI_11 + _GAUSS_TAIL_11) + 4.0 * mu_max * _PSI_12 ** 2
         # lattice: aliasing, the sum over j != 0 of |f^(2 pi j / h)| <= 0.7318
         # spread q^(j^2); the tail; table entries, with the rounding of m h;
         # FFT round-off; the product by h; the rounding of the mu levels
-        q = math.exp(-((math.pi * plan.root) / spread) ** 2)
+        q = math.exp(-((math.pi * root) / spread) ** 2)
         e = 2.0 * 0.7318 * spread * q / (1.0 - q ** 3) if q < 1.0 else math.inf
-        tau = plan.table_err[0] + lip * _U * count * plan.h
-        e += tail + plan.h * tau * (2.0 * plan.norm1[0] + 3.0 * count * tau)
-        e += plan.h * (14.0 * math.log2(plan.size) + 5.0) * _U * 2.0 * plan.norm1[0] * plan.norm2[0]
+        tau = table_err + lip * _U * count * h
+        e += tail + h * tau * (2.0 * norm1 + 3.0 * count * tau)
+        e += h * (14.0 * math.log2(size) + 5.0) * _U * 2.0 * norm1 * norm2
         e += _U * _SKEW_SUP + 4.0 * _U * lip * mu_max
         # Simpson on a window of width <= `width`: its h^4 term and the window
         # tail; the rounding of its nodes, pdf values and products; then of
@@ -613,16 +610,12 @@ _CAUCHY_SPEC = _taylor_spec(
 _SPECS = {"gaussian": _GAUSS_SPEC, "laplace": _LAPLACE_SPEC, "cauchy": _CAUCHY_SPEC}
 
 
-def _lattice_spec(kernel: Kernel) -> _LatticeSpec:
-    if kernel.family == "skew_gaussian":
-        return _skew_spec(kernel)
-    return _SPECS[kernel.family]
-
-
 @dataclass(frozen=True)
 class _LatticePlan:
-    """Data-independent parts of the lattice transform for one (family, n, k_max)."""
+    """Everything data-independent of a 1-d scan for one (kernel, n, k_max):
+    the family's spec, its transform tables and the grid's inner products."""
 
+    spec: _LatticeSpec
     root: float            # sqrt(n); the lattice spacing is h = 1/root
     h: float
     bins: int              # K: samples are binned to b = -K..K
@@ -632,17 +625,19 @@ class _LatticePlan:
     norm2: np.ndarray      # (P,): ||E_p||_2
     peak: np.ndarray       # (P,): max |E_p|
     table_err: np.ndarray  # (P,): bound on the rounding of one entry of E_p
-    inner: np.ndarray | None = None  # (q,): lattice inner products c~_j, if the spec has a bound
-    inner_err: float = 0.0           # e >= max_j |c~_j - c_j|
+    inner: np.ndarray      # (q,): the closed forms, or the skew lattice c~_j
+    inner_err: float       # e >= max_j |inner_j - c_j|, 0 for the closed forms
 
 
-# Plans keyed by family and grid.  A study runs one family at a few n; the
+# Plans keyed by (kernel, n, k_max).  A study runs one family at a few n; the
 # largest plan (Cauchy, n = 8000, M = 10) holds 1.3 MB of spectra.
 _LATTICE_PLANS: dict[tuple, _LatticePlan] = {}
 
 
-def _lattice_plan(spec: _LatticeSpec, n: int, k_max: int) -> _LatticePlan:
-    root = math.sqrt(n)
+def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
+    spec = _skew_spec(kernel) if kernel.family == "skew_gaussian" else _SPECS[kernel.family]
+    k_max = grid.mu_levels.shape[0] // 2
+    root = math.sqrt(grid.n)
     h = 1.0 / root
     bins = k_max + math.ceil(spec.far * root) + 1
     half = bins + k_max  # table offsets m = -half..half cover every (b, k) pair
@@ -653,37 +648,43 @@ def _lattice_plan(spec: _LatticeSpec, n: int, k_max: int) -> _LatticePlan:
     padded[:, : 2 * half + 1] = tables
     spectra = np.fft.rfft(padded, axis=1)
     spectra.setflags(write=False)
-    plan = _LatticePlan(
+    norm1 = np.sum(np.abs(tables), axis=1)
+    norm2 = np.sqrt(np.sum(np.square(tables), axis=1))
+    if spec.inner_bound is None:
+        inner, err = cross_inner_many(kernel, grid.mu_levels), 0.0
+    else:
+        # c~(k h) = h sum_m phi(m h) phi((m - k) h) is the autocorrelation of
+        # the E_0(t) = phi(-t) table, whose lag k sits at index k mod L
+        corr = np.fft.irfft(spectra[0] * spectra[0].conj(), size)
+        inner = h * np.concatenate([corr[size - k_max :], corr[1 : k_max + 1]])
+        err = spec.inner_bound(root, k_max, half, size, table_err[0], norm1[0], norm2[0])
+        if not (err < math.inf and np.all(np.isfinite(inner))):
+            err = math.inf
+    inner.setflags(write=False)
+    return _LatticePlan(
+        spec=spec,
         root=root,
         h=h,
         bins=bins,
         size=size,
         spectra=spectra,
-        norm1=np.sum(np.abs(tables), axis=1),
-        norm2=np.sqrt(np.sum(np.square(tables), axis=1)),
+        norm1=norm1,
+        norm2=norm2,
         peak=np.max(np.abs(tables), axis=1),
         table_err=table_err,
+        inner=inner,
+        inner_err=err,
     )
-    if spec.inner_bound is None:
-        return plan
-    # c~(k h) = h sum_m phi(m h) phi((m - k) h) is the autocorrelation of the
-    # E_0(t) = phi(-t) table, whose lag k sits at index k mod L
-    corr = np.fft.irfft(spectra[0] * spectra[0].conj(), size)
-    inner = h * np.concatenate([corr[size - k_max :], corr[1 : k_max + 1]])
-    inner.setflags(write=False)
-    err = spec.inner_bound(plan, k_max)
-    if not (err < math.inf and np.all(np.isfinite(inner))):
-        err = math.inf
-    return replace(plan, inner=inner, inner_err=err)
 
 
-def _grid_plan(spec: _LatticeSpec, grid: Grid) -> _LatticePlan:
+def _grid_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
+    """The memoised plan of a 1-d grid; its mu levels follow from (n, k_max)."""
     k_max = grid.mu_levels.shape[0] // 2
-    return memo(_LATTICE_PLANS, (spec.kernel, grid.n, k_max), lambda: _lattice_plan(spec, grid.n, k_max), 4)
+    return memo(_LATTICE_PLANS, (kernel, grid.n, k_max), lambda: _lattice_plan(kernel, grid), 4)
 
 
-def _lattice_shift_sums(spec: _LatticeSpec, grid: Grid, data: np.ndarray) -> tuple[np.ndarray, float]:
-    """Shift sums on a 1-d grid by the lattice transform of ``spec``.
+def _lattice_shift_sums(plan: _LatticePlan, grid: Grid, data: np.ndarray) -> tuple[np.ndarray, float]:
+    """Shift sums on a 1-d grid by the lattice transform of its ``plan``.
 
     Returns (sums, eps) with eps >= max_j |sums_j - S_j| for the sums S that
     ``precompute`` computes; the module docstring derives each term.  eps is
@@ -691,7 +692,7 @@ def _lattice_shift_sums(spec: _LatticeSpec, grid: Grid, data: np.ndarray) -> tup
     """
     n = data.shape[0]
     k_max = grid.mu_levels.shape[0] // 2
-    plan = _grid_plan(spec, grid)
+    spec = plan.spec
     bins = plan.bins
     is_near = np.abs(data) <= bins * plan.h
     near = data[is_near]
@@ -754,17 +755,15 @@ def _column_minima(grid: Grid, table: ContrastTable) -> np.ndarray:
 
 
 def _certified_scan(
-    spec: _LatticeSpec, grid: Grid, data: np.ndarray, inner_products: np.ndarray | None = None
+    kernel: Kernel, grid: Grid, data: np.ndarray, inner_products: np.ndarray | None = None
 ) -> tuple[float, int, int]:
     """``_scan_table(grid, precompute(...))`` on a 1-d grid, bit for bit, with
     lattice-transform sums and an exact recompute of the candidate columns."""
-    kernel = spec.kernel
     n = data.shape[0]
-    # the skew-Gaussian's default inner products come from its plan, within
-    # inner_err of the Simpson values, which only the candidates get
-    plan = _grid_plan(spec, grid)
-    lattice_inner = inner_products is None and plan.inner is not None
-    if lattice_inner:
+    # the plan's inner products lie within inner_err of cross_inner's, which
+    # the candidates get when inner_err > 0; explicit ones are exact
+    plan = _grid_plan(kernel, grid)
+    if inner_products is None:
         inner, inner_err = plan.inner, plan.inner_err
     else:
         inner, inner_err = _inner_products(kernel, grid, inner_products), 0.0
@@ -772,7 +771,7 @@ def _certified_scan(
     # is recomputed; a flat column (an explicit inner product equal to
     # ||phi||^2) has no vertex and takes its least value at an end level
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sums, eps = _lattice_shift_sums(spec, grid, data)
+        sums, eps = _lattice_shift_sums(plan, grid, data)
         approx = ContrastTable(
             s0=float(np.sum(pdf_many(kernel, data))),
             shift_sums=sums,
@@ -800,8 +799,8 @@ def _certified_scan(
     finite = np.isfinite(col_min)
     cut = float(np.min(col_min[finite])) + 2.0 * delta + rho if finite.any() else math.inf
     cols = np.flatnonzero(~finite | (col_min <= cut))
-    sub = Grid(lambda_levels=grid.lambda_levels, mu_levels=grid.mu_levels[cols], n=grid.n, M=grid.M)
-    exact = cross_inner_many(kernel, sub.mu_levels) if lattice_inner else inner[cols]
+    sub = Grid(lambda_levels=grid.lambda_levels, mu_levels=grid.mu_levels[cols], n=grid.n)
+    exact = cross_inner_many(kernel, sub.mu_levels) if inner_err > 0.0 else inner[cols]
     val, i, jj = _scan_table(sub, precompute(kernel, sub, data, inner_products=exact))
     return val, i, int(cols[jj])
 
@@ -822,7 +821,7 @@ def estimate(
     n = data.shape[0]
     grid = build_grid(n, M, kernel.dim)
     if kernel.dim == 1 and data.ndim == 1:
-        val, i, j = _certified_scan(_lattice_spec(kernel), grid, data, inner_products)
+        val, i, j = _certified_scan(kernel, grid, data, inner_products)
     else:
         val, i, j = _scan_table(grid, precompute(kernel, grid, data, inner_products))
     mu_hat = np.atleast_1d(np.asarray(grid.mu_levels[j], dtype=float)).copy()

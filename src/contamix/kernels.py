@@ -198,7 +198,8 @@ def cross_inner(kernel: Kernel, mu) -> float:
 
 
 def cross_inner_many(kernel: Kernel, mus) -> np.ndarray:
-    """``cross_inner`` over an array of shifts (shape (m,) for dim 1, (m, d) else)."""
+    """``cross_inner`` over an array of shifts: (m, d) gives (m,) for dim d > 1;
+    dim 1 keeps the input's shape, a scalar giving (1,)."""
     mus = np.asarray(mus, dtype=float)
     if kernel.dim > 1:
         if mus.ndim != 2 or mus.shape[1] != kernel.dim:
@@ -207,7 +208,7 @@ def cross_inner_many(kernel: Kernel, mus) -> np.ndarray:
     mus = np.atleast_1d(mus)
     if kernel.family in _CROSS:
         return _CROSS[kernel.family](mus, np.exp)
-    return np.array([cross_inner(kernel, m) for m in mus])
+    return np.array([cross_inner(kernel, m) for m in mus.reshape(-1)]).reshape(mus.shape)
 
 
 # Monte-Carlo draws per chunk: a few MB of temporaries for any draw count.

@@ -238,6 +238,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     Results are merged in (cell, replicate) index order, so the output is a
     pure function of the config regardless of ``workers``.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = config.cells()
     reps = config.replicates
     tasks = [(ci, ri) for ci in range(len(cells)) for ri in range(reps)]

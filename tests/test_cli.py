@@ -94,6 +94,15 @@ class TestEstimate:
         assert code == 2
         assert "/no/such.csv" in err
 
+    def test_too_many_mu_levels_data_error(self, tmp_path):
+        # 4 samples and M = 1e8 ask for 4e8 mu levels: refused before any
+        # array is built
+        p = tmp_path / "four.csv"
+        p.write_text("0.1\n-0.4\n1.2\n0.3\n")
+        code, out, err = run_cli("estimate", "--kernel", "gaussian", "--data", str(p), "--bound-m", "1e8")
+        assert code == 2
+        assert "mu levels" in err and "Traceback" not in err and out == ""
+
     def test_skew_without_alpha_usage_error(self, gaussian_fixture):
         path, _ = gaussian_fixture
         code, _, _ = run_cli(
@@ -266,6 +275,16 @@ class TestSimulate:
     def test_missing_config_file(self, tmp_path):
         code, _, _ = run_cli("simulate", "--config", "/no/such.config", "--out", str(tmp_path / "o.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_usage_error(self, tmp_path, workers):
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli(
+            "simulate", "--config", str(DESK_CONFIG), "--out", str(out_csv), "--workers", workers
+        )
+        assert code == 1
+        assert "--workers" in err and "Traceback" not in err and out == ""
+        assert not out_csv.exists()
 
 
 class TestUsage:

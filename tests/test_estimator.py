@@ -81,6 +81,21 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(10 ** 6, 10.0, 3)
 
+    def test_mu_level_bound_before_allocation(self):
+        # 4e8 mu levels on 8e8 grid points, under the point bound
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="mu levels"):
+                build_grid(4, 1e8, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        levels = build_grid(4, estimator.MAX_MU_LEVELS / 4, 1).mu_levels
+        assert levels.shape == (estimator.MAX_MU_LEVELS,)
+        with pytest.raises(ValueError, match="mu levels"):
+            build_grid(4, (estimator.MAX_MU_LEVELS + 2) / 4, 1)
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             build_grid(3, 1.0, 1)
@@ -252,6 +267,22 @@ class TestEstimate:
         b = estimate(GAUSS, data, 2.0, inner_products=override)
         assert (a.lambda_index, a.mu_index) == (b.lambda_index, b.mu_index)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(4, 64),
+        M=st.floats(0.5, 1.5),
+        lam=st.floats(0.01, 0.99),
+        mu=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_dim2_matches_naive_scan(self, n, M, lam, mu, seed):
+        k2 = Kernel("gaussian", dim=2)
+        data = sample_mixture(k2, MixtureParams(lam, mu), n, seed=seed)
+        res = estimate(k2, data, M)
+        val, i, j = naive_scan(k2, data, build_grid(n, M, 2))
+        assert (res.lambda_index, res.mu_index) == (i, j)
+        assert abs(res.contrast_value - val) < 1e-10
+
     def test_dim2_runs(self):
         k2 = Kernel("gaussian", dim=2)
         theta = MixtureParams(0.5, [1.0, -1.0])
@@ -279,25 +310,27 @@ class TestNonFinite:
             estimate(GAUSS, data, 2.0, inner_products=inner)
 
 
-class TestInnerCacheFill:
-    def test_concurrent_fill_runs_once(self, monkeypatch):
-        fills = []
-        real = estimator.cross_inner_many
+class TestLatticePlan:
+    """Each 1-d grid's plan holds its inner products and is built once."""
 
-        def slow_fill(*args, **kwargs):
-            fills.append(threading.get_ident())
+    def test_concurrent_estimates_build_the_plan_once(self, monkeypatch):
+        builds = []
+        real = estimator._lattice_plan
+
+        def slow_build(*args, **kwargs):
+            builds.append(threading.get_ident())
             time.sleep(0.05)  # widen the window in which other threads arrive
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(estimator, "cross_inner_many", slow_fill)
-        monkeypatch.setattr(estimator, "_INNER_CACHE", {})
-        grid = build_grid(100, 2.0, 1)
+        monkeypatch.setattr(estimator, "_lattice_plan", slow_build)
+        monkeypatch.setattr(estimator, "_LATTICE_PLANS", {})
+        data = sample_mixture(GAUSS, MixtureParams(0.3, 1.0), 100, seed=6)
         barrier = threading.Barrier(4)
         got = []
 
         def worker():
             barrier.wait()
-            got.append(estimator._grid_inner_products(GAUSS, grid))
+            got.append(estimate(GAUSS, data, 2.0))
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
@@ -305,8 +338,26 @@ class TestInnerCacheFill:
         for t in threads:
             t.join(timeout=30)
             assert not t.is_alive()
-        assert len(fills) == 1
-        assert len(got) == 4 and all(a is got[0] for a in got)
+        assert len(builds) == 1
+        assert len(got) == 4
+        assert len({(r.lambda_index, r.mu_index, r.contrast_value) for r in got}) == 1
+        assert list(estimator._LATTICE_PLANS) == [(GAUSS, 100, 20)]
+
+    @pytest.mark.parametrize("kernel", [GAUSS, Kernel("laplace"), Kernel("cauchy")], ids=lambda k: k.family)
+    def test_closed_form_inner_products_are_exact(self, kernel):
+        grid = build_grid(500, 3.0, 1)
+        plan = estimator._grid_plan(kernel, grid)
+        expected = cross_inner_many(kernel, grid.mu_levels)
+        assert plan.inner.tobytes() == expected.tobytes()
+        assert plan.inner_err == 0.0
+
+    def test_grids_with_one_k_max_share_a_plan(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_LATTICE_PLANS", {})
+        # floor(M sqrt(400)) = 60 for both bounds
+        a, b = build_grid(400, 3.0, 1), build_grid(400, 3.04, 1)
+        assert np.array_equal(a.mu_levels, b.mu_levels)
+        assert estimator._grid_plan(GAUSS, a) is estimator._grid_plan(GAUSS, b)
+        assert len(estimator._LATTICE_PLANS) == 1
 
 
 def spy_precompute(monkeypatch):
@@ -328,7 +379,7 @@ def assert_lattice_scan_exact(data, M, kernel=GAUSS, inner_products=None):
     grid = build_grid(len(data), M, 1)
     table = precompute(kernel, grid, data, inner_products)
     val, i, j = estimator._scan_table(grid, table)
-    sums, eps = estimator._lattice_shift_sums(estimator._lattice_spec(kernel), grid, data)
+    sums, eps = estimator._lattice_shift_sums(estimator._grid_plan(kernel, grid), grid, data)
     assert np.max(np.abs(sums - table.shift_sums)) <= eps
     res = estimate(kernel, data, M, inner_products)
     assert (res.lambda_index, res.mu_index) == (i, j)
@@ -372,9 +423,10 @@ class TestLatticeScan:
         data[:4] = [1e6, -1e6, 1e6 + 0.5, 40.0]
         assert_lattice_scan_exact(data, 10.0)
         grid = build_grid(2000, 10.0, 1)
+        plan = estimator._grid_plan(GAUSS, grid)
         tracemalloc.start()
         try:
-            estimator._lattice_shift_sums(estimator._GAUSS_SPEC, grid, data)
+            estimator._lattice_shift_sums(plan, grid, data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -419,10 +471,10 @@ class TestLatticeFamilies:
         data[:8] = [1e6, -1e6, 1e6 + 0.5, -1e6 - 0.5, 1e5, 40.0, -40.0, 31.0]
         assert_lattice_scan_exact(data, 10.0, kernel)
         grid = build_grid(2000, 10.0, 1)
-        spec = estimator._lattice_spec(kernel)
+        plan = estimator._grid_plan(kernel, grid)
         tracemalloc.start()
         try:
-            estimator._lattice_shift_sums(spec, grid, data)
+            estimator._lattice_shift_sums(plan, grid, data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -526,7 +578,7 @@ class TestSkewLatticeInner:
     def test_bound_holds_at_every_level(self, alpha, n):
         kernel = Kernel("skew_gaussian", alpha=alpha)
         grid = build_grid(n, 4.0, 1)
-        plan = estimator._grid_plan(estimator._lattice_spec(kernel), grid)
+        plan = estimator._grid_plan(kernel, grid)
         simpson = cross_inner_many(kernel, grid.mu_levels)
         assert np.max(np.abs(plan.inner - simpson)) <= plan.inner_err
         if n >= 500 and abs(alpha) <= 10.0:
@@ -538,7 +590,7 @@ class TestSkewLatticeInner:
         # every column gets its Simpson value, as the direct path does
         kernel = Kernel("skew_gaussian", alpha=1e4)
         grid = build_grid(16, 2.0, 1)
-        plan = estimator._grid_plan(estimator._lattice_spec(kernel), grid)
+        plan = estimator._grid_plan(kernel, grid)
         assert not plan.inner_err < 1.0
         data = sample_mixture(kernel, MixtureParams(0.3, 1.0), 16, seed=11)
         sizes = spy_precompute(monkeypatch)
@@ -555,12 +607,11 @@ class TestSkewLatticeInner:
 
         monkeypatch.setattr(kernels, "_skew_cross_quadrature", spy)
         monkeypatch.setattr(kernels, "_SKEW_CACHE", {})
-        monkeypatch.setattr(estimator, "_INNER_CACHE", {})
+        monkeypatch.setattr(estimator, "_LATTICE_PLANS", {})
         data = sample_mixture(SKEW, MixtureParams(0.25, 2.0), 8000, seed=20260809)
         estimate(SKEW, data, 10.0)
         # ||phi||^2 and the candidate columns, out of 1788 mu levels
         assert len(levels) <= 8
-        assert estimator._INNER_CACHE == {}
 
 
 @pytest.mark.slow

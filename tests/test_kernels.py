@@ -151,6 +151,12 @@ class TestCrossInner:
         many = cross_inner_many(any_kernel, mus)
         for m, v in zip(mus, many):
             assert v == pytest.approx(cross_inner(any_kernel, m), rel=1e-14)
+        # a 2-d array of shifts keeps its shape and its values, for every family
+        grid = np.array([[-2.0, -0.5, 0.3], [1.7, 0.3, -2.0]])
+        many = cross_inner_many(any_kernel, grid)
+        assert many.shape == grid.shape
+        for m, v in zip(grid.reshape(-1), many.reshape(-1)):
+            assert v == pytest.approx(cross_inner(any_kernel, m), rel=1e-14)
 
     @given(st.floats(min_value=-8.0, max_value=8.0))
     @settings(max_examples=100, deadline=None)

@@ -117,6 +117,11 @@ class TestAggregation:
         cfg = small_config(replicates=8)
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=4)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_experiment(small_config(), workers=workers)
+
     def test_rate_scaling_rows(self):
         cfg = small_config(
             mode="rate_scaling", n_values=(49, 100), mu_star_override=1.5, nu_values=()
