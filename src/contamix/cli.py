@@ -16,7 +16,7 @@ from .estimator import build_grid, estimate
 from .kernels import FAMILIES, Kernel, cross_inner
 from .metrics import w1, w2_squared
 from .mixture import MixtureParams
-from .simharness import ConfigError, emit_csv, load_config, run_experiment
+from .simharness import ConfigError, _fmt, emit_csv, load_config, run_experiment, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,14 +49,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def _build_kernel(args) -> Kernel:
@@ -121,18 +113,16 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
-    try:
-        config = load_config(args.config)
-        if args.paper:
-            from dataclasses import replace
+    workers = _default_workers() if args.workers is None else args.workers
+    if workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {workers}")
+    config = load_config(args.config)
+    if args.paper:
+        from dataclasses import replace
 
-            config = replace(config, replicates=1000)
-        result = run_experiment(config, workers=args.workers)
-        emit_csv(result, args.out, args.raw)
-    except (ConfigError, OSError) as exc:
-        raise _DataError(str(exc)) from exc
+        config = replace(config, replicates=1000)
+    result = run_experiment(config, workers=workers)
+    emit_csv(result, args.out, args.raw)
     print(f"summary={args.out}")
     if args.raw:
         print(f"raw={args.raw}")
@@ -186,23 +176,23 @@ def _cmd_certify(args) -> int:
     for key, val in report.details.items():
         print(f"{key}={_fmt(val)}")
     if args.out:
-        try:
-            with open(args.out, "w", newline="\n") as fh:
-                fh.write(",".join(report.surface_columns) + "\n")
-                for row in report.surface:
-                    fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
-        except OSError as exc:
-            raise _DataError(f"cannot write surface CSV {args.out}: {exc}") from exc
+        # row by row: tolist() of a whole pair-scan surface adds about 2 MB to peak RSS
+        rows = (row.tolist() for row in report.surface)
+        write_csv(args.out, "surface", report.surface_columns, rows)
         print(f"surface={args.out}")
     return EXIT_OK if report.passed else EXIT_CERTIFY
 
 
 def _default_workers() -> int:
+    """``CONTAMIX_WORKERS`` under the rule of ``--workers``; 1 when unset or empty."""
     env = os.environ.get("CONTAMIX_WORKERS", "")
     try:
-        return max(1, int(env))
+        workers = int(env or 1)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise _UsageError(f"CONTAMIX_WORKERS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def _make_parser() -> _Parser:
@@ -225,7 +215,7 @@ def _make_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="summary CSV path")
     p.add_argument("--raw", default=None, help="optional raw per-replicate CSV path")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=None, help="default: CONTAMIX_WORKERS, else 1")
     p.add_argument("--paper", action="store_true", help="full-scale preset (1000 replicates)")
     p.set_defaults(func=_cmd_simulate)
 
@@ -258,7 +248,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"contamix: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DataError as exc:
+    except (_DataError, ConfigError, OSError) as exc:  # config errors and unwritable CSVs
         print(f"contamix: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

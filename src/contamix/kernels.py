@@ -208,7 +208,8 @@ def cross_inner_many(kernel: Kernel, mus) -> np.ndarray:
     mus = np.atleast_1d(mus)
     if kernel.family in _CROSS:
         return _CROSS[kernel.family](mus, np.exp)
-    return np.array([cross_inner(kernel, m) for m in mus.reshape(-1)]).reshape(mus.shape)
+    shifts, where = np.unique(mus, return_inverse=True)  # one quadrature lookup per shift
+    return np.array([cross_inner(kernel, m) for m in shifts])[where].reshape(mus.shape)
 
 
 # Monte-Carlo draws per chunk: a few MB of temporaries for any draw count.

@@ -18,7 +18,7 @@ Numbers are written in shortest round-trip decimal form.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 import math
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "run_replicate",
     "run_experiment",
     "emit_csv",
+    "write_csv",
     "load_config",
 ]
 
@@ -120,10 +121,6 @@ class ExperimentConfig:
         nu = 0.0 if self.mu_star_override is not None else float(self.nu_values[0])
         return [(i, nu, int(n)) for i, n in enumerate(self.n_values)]
 
-    def cell_key(self, nu: float, n: int) -> float:
-        """Raw-file cell key: nu in phase_transition mode, n in rate_scaling."""
-        return nu if self.mode == "phase_transition" else float(n)
-
 
 @dataclass(frozen=True)
 class SummaryRow:
@@ -137,10 +134,9 @@ class SummaryRow:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    mode: str
     key_name: str            # "nu" or "n": first column of the raw file
     rows: tuple              # SummaryRow per cell
-    raw: tuple               # (cell_key, rep, lambda_hat, mu_hat) per replicate
+    raw: tuple               # (nu or n, rep, lambda_hat, mu_hat) per replicate
 
 
 # ----------------------------- seeding -----------------------------
@@ -243,83 +239,70 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     cells = config.cells()
     reps = config.replicates
     tasks = [(ci, ri) for ci in range(len(cells)) for ri in range(reps)]
-    estimates: list = [None] * len(tasks)
 
-    def _run(flat: int):
-        ci, ri = tasks[flat]
-        return run_replicate(config, ci, ri)
+    def run(task):
+        return run_replicate(config, *task)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for flat, est in zip(range(len(tasks)), pool.map(_run, range(len(tasks)))):
-                estimates[flat] = est
+            estimates = list(pool.map(run, tasks))
     else:
-        for flat in range(len(tasks)):
-            estimates[flat] = _run(flat)
+        estimates = list(map(run, tasks))
 
+    key_name = "nu" if config.mode == "phase_transition" else "n"
     rows = []
     raw = []
     for ci, (_, nu, n) in enumerate(cells):
         mu_star = config.mu_star(nu, n)
-        lam_hats = np.array([estimates[ci * reps + ri][0] for ri in range(reps)])
-        mu_hats = np.array([estimates[ci * reps + ri][1] for ri in range(reps)])
+        cell = np.array(estimates[ci * reps:(ci + 1) * reps])  # (lambda_hat, mu_hat) rows
         rows.append(
             SummaryRow(
                 nu=nu,
                 mu_star=mu_star,
                 n=n,
                 replicates=reps,
-                mse_lambda=float(np.mean((lam_hats - config.lambda_star) ** 2)),
-                mse_mu=float(np.mean((mu_hats - mu_star) ** 2)),
+                mse_lambda=float(np.mean((cell[:, 0] - config.lambda_star) ** 2)),
+                mse_mu=float(np.mean((cell[:, 1] - mu_star) ** 2)),
             )
         )
-        key = config.cell_key(nu, n)
-        for ri in range(reps):
-            raw.append((key, ri, float(lam_hats[ri]), float(mu_hats[ri])))
-    key_name = "nu" if config.mode == "phase_transition" else "n"
-    return ExperimentResult(mode=config.mode, key_name=key_name, rows=tuple(rows), raw=tuple(raw))
+        key = nu if key_name == "nu" else n
+        raw.extend((key, ri, lh, mh) for ri, (lh, mh) in enumerate(cell.tolist()))
+    return ExperimentResult(key_name=key_name, rows=tuple(rows), raw=tuple(raw))
 
 
 # ----------------------------- CSV emission -----------------------------
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats, plain digits for ints."""
+    """Shortest round-trip decimal for floats, true/false for bools, str otherwise;
+    the CSV files and the CLI's ``key=value`` records share it."""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return str(value)
+
+
+def write_csv(path, kind: str, header, rows) -> None:
+    """Write a header and rows of numbers; an OSError names ``kind`` and the path."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(map(_fmt, row)) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {kind} CSV {path}: {exc}") from exc
 
 
 def emit_csv(result: ExperimentResult, summary_path, raw_path=None) -> None:
     """Write the summary CSV (and the raw CSV when a path is given)."""
-    try:
-        with open(summary_path, "w", newline="\n") as fh:
-            fh.write("nu,mu_star,n,replicates,mse_lambda,mse_mu\n")
-            for r in result.rows:
-                fh.write(
-                    ",".join(
-                        [_fmt(r.nu), _fmt(r.mu_star), _fmt(r.n), _fmt(r.replicates),
-                         _fmt(r.mse_lambda), _fmt(r.mse_mu)]
-                    )
-                    + "\n"
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write summary CSV {summary_path}: {exc}") from exc
-    if raw_path is None:
-        return
-    try:
-        with open(raw_path, "w", newline="\n") as fh:
-            fh.write(f"{result.key_name},rep,lambda_hat,mu_hat\n")
-            for key, rep, lh, mh in result.raw:
-                cell = _fmt(int(key)) if result.key_name == "n" else _fmt(key)
-                fh.write(f"{cell},{rep},{_fmt(lh)},{_fmt(mh)}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write raw CSV {raw_path}: {exc}") from exc
+    header = [field.name for field in fields(SummaryRow)]
+    write_csv(summary_path, "summary", header, map(astuple, result.rows))
+    if raw_path is not None:
+        write_csv(raw_path, "raw", (result.key_name, "rep", "lambda_hat", "mu_hat"), result.raw)
 
 
 # ----------------------------- config files -----------------------------
-
-_REQUIRED_KEYS = ("kernel", "n", "lambda_star", "M", "replicates", "master_seed", "mode")
 
 
 def _parse_scalar(text: str):
@@ -333,12 +316,36 @@ def _parse_scalar(text: str):
         return text
 
 
+def _listed(convert):
+    """Conversion of a comma-separated list (or a single value) to a tuple."""
+    return lambda value: tuple(map(convert, value if isinstance(value, tuple) else (value,)))
+
+
+# config key -> (conversion of its parsed value, required).  Every key but
+# alpha, which goes to the Kernel, is the ExperimentConfig field of that name;
+# required keys are checked in this order.
+_CONFIG_KEYS = {
+    "kernel": (str, True),
+    "alpha": (float, False),
+    "n": (int, True),
+    "lambda_star": (float, True),
+    "nu_values": (_listed(float), False),
+    "M": (float, True),
+    "replicates": (int, True),
+    "master_seed": (int, True),
+    "mode": (str, True),
+    "n_values": (_listed(int), False),
+    "mu_star_override": (float, False),
+    "inner_method": (str, False),
+}
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file (lists are comma-separated).
 
-    Recognized keys: kernel, alpha (skew_gaussian only), n, lambda_star,
-    nu_values, M, replicates, master_seed, mode, n_values, mu_star_override,
-    inner_method.  Missing or unknown keys raise ConfigError naming the key.
+    The recognized keys are those of ``_CONFIG_KEYS``; alpha is for
+    skew_gaussian only.  Missing or unknown keys raise ConfigError naming the
+    key; absent optional keys take the ExperimentConfig defaults.
     """
     entries: dict = {}
     try:
@@ -359,38 +366,17 @@ def load_config(path) -> ExperimentConfig:
         else:
             entries[key] = _parse_scalar(value)
 
-    known = set(_REQUIRED_KEYS) | {"alpha", "nu_values", "n_values", "mu_star_override", "inner_method"}
     for key in entries:
-        if key not in known:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    for key in _REQUIRED_KEYS:
-        if key not in entries:
+    for key, (_, required) in _CONFIG_KEYS.items():
+        if required and key not in entries:
             raise ConfigError(f"missing config key {key!r}")
 
-    def as_tuple(key):
-        value = entries.get(key)
-        if value is None:
-            return ()
-        return value if isinstance(value, tuple) else (value,)
-
     try:
-        alpha = entries.get("alpha")
-        kernel = Kernel(str(entries["kernel"]), alpha=float(alpha) if alpha is not None else None)
-        return ExperimentConfig(
-            kernel=kernel,
-            n=int(entries["n"]),
-            lambda_star=float(entries["lambda_star"]),
-            nu_values=tuple(float(v) for v in as_tuple("nu_values")),
-            M=float(entries["M"]),
-            replicates=int(entries["replicates"]),
-            master_seed=int(entries["master_seed"]),
-            mode=str(entries["mode"]),
-            n_values=tuple(int(v) for v in as_tuple("n_values")) or None,
-            mu_star_override=(
-                float(entries["mu_star_override"]) if "mu_star_override" in entries else None
-            ),
-            inner_method=str(entries.get("inner_method", "quadrature")),
-        )
+        values = {key: _CONFIG_KEYS[key][0](value) for key, value in entries.items()}
+        values["kernel"] = Kernel(values["kernel"], alpha=values.pop("alpha", None))
+        return ExperimentConfig(**values)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

@@ -220,6 +220,14 @@ class TestCertify:
         assert lines[0] == "a,cross_inner"
         assert len(lines) == 7  # header + six default shifts
 
+    def test_unwritable_surface_csv_data_error(self, tmp_path):
+        out_csv = tmp_path / "no" / "such" / "surface.csv"
+        code, _, err = run_cli(
+            "certify", "--kernel", "gaussian", "--check", "decorrelation", "--out", str(out_csv)
+        )
+        assert code == 2
+        assert "surface CSV" in err and str(out_csv) in err and "Traceback" not in err
+
     def test_unknown_check_usage_error(self):
         code, _, _ = run_cli("certify", "--kernel", "gaussian", "--check", "everything")
         assert code == 1
@@ -335,14 +343,35 @@ class TestInProcess:
         assert cli_mod.main(["certify", "--kernel", "gaussian", "--check", "kappa"]) == 3
 
     def test_workers_env_default(self, monkeypatch):
-        from contamix.cli import _default_workers
+        from contamix.cli import _default_workers, _UsageError
 
         monkeypatch.setenv("CONTAMIX_WORKERS", "6")
         assert _default_workers() == 6
-        monkeypatch.setenv("CONTAMIX_WORKERS", "garbage")
+        for bad in ("garbage", "0", "-3", "2.5"):
+            monkeypatch.setenv("CONTAMIX_WORKERS", bad)
+            with pytest.raises(_UsageError, match="CONTAMIX_WORKERS"):
+                _default_workers()
+        monkeypatch.setenv("CONTAMIX_WORKERS", "")
         assert _default_workers() == 1
         monkeypatch.delenv("CONTAMIX_WORKERS")
         assert _default_workers() == 1
+
+    def test_workers_env_checked_unless_flag_given(self, tmp_path, monkeypatch, capsys):
+        from contamix import cli as cli_mod
+
+        p = tmp_path / "tiny.config"
+        p.write_text(
+            "kernel = gaussian\nn = 100\nlambda_star = 0.25\nnu_values = 0.5\n"
+            "M = 3\nreplicates = 2\nmaster_seed = 1\nmode = phase_transition\n"
+        )
+        out = tmp_path / "o.csv"
+        monkeypatch.setenv("CONTAMIX_WORKERS", "0")
+        assert cli_mod.main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+        assert "CONTAMIX_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setenv("CONTAMIX_WORKERS", "garbage")
+        assert cli_mod.main(["simulate", "--config", str(p), "--out", str(out), "--workers", "2"]) == 0
+        assert out.exists()
 
     def test_paper_preset_sets_replicates(self, tmp_path, monkeypatch):
         from contamix import cli as cli_mod
@@ -358,7 +387,7 @@ class TestInProcess:
             seen["replicates"] = config.replicates
             from contamix.simharness import ExperimentResult
 
-            return ExperimentResult(mode="phase_transition", key_name="nu", rows=(), raw=())
+            return ExperimentResult(key_name="nu", rows=(), raw=())
 
         monkeypatch.setattr(cli_mod, "run_experiment", fake_run)
         out = tmp_path / "o.csv"

@@ -214,6 +214,21 @@ class TestSkewMemo:
         assert np.float64(again).tobytes() == np.float64(first[0]).tobytes()
         assert len(kernels._SKEW_CACHE) == 8
 
+    def test_many_looks_up_each_distinct_shift_once(self, monkeypatch):
+        shifts = np.array([[0.5, -1.25, 0.5, 3.0], [2.0, 0.5, -1.25, 0.5], [-1.25, 2.0, 0.0, 3.0]])
+        monkeypatch.setattr(kernels, "_SKEW_CACHE", {})
+        expected = np.array([cross_inner(SKEW, m) for m in shifts.reshape(-1)]).reshape(shifts.shape)
+        monkeypatch.setattr(kernels, "_SKEW_CACHE", {})
+        lookups, fills = [], []
+        real_lookup, real_fill = kernels.cross_inner, kernels._skew_cross_quadrature
+        monkeypatch.setattr(kernels, "cross_inner", lambda k, m: lookups.append(m) or real_lookup(k, m))
+        monkeypatch.setattr(kernels, "_skew_cross_quadrature", lambda k, m: fills.append(m) or real_fill(k, m))
+        got = cross_inner_many(SKEW, shifts)
+        assert got.shape == shifts.shape
+        assert got.tobytes() == expected.tobytes()
+        distinct = sorted(set(shifts.reshape(-1).tolist()))
+        assert sorted(lookups) == sorted(fills) == distinct
+
 
 class TestMcInner:
     def test_gaussian_zero_shift(self):

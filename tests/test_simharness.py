@@ -122,7 +122,7 @@ class TestAggregation:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_experiment(small_config(), workers=workers)
 
-    def test_rate_scaling_rows(self):
+    def test_rate_scaling_rows(self, tmp_path):
         cfg = small_config(
             mode="rate_scaling", n_values=(49, 100), mu_star_override=1.5, nu_values=()
         )
@@ -131,6 +131,13 @@ class TestAggregation:
         assert [r.n for r in res.rows] == [49, 100]
         assert all(r.mu_star == 1.5 for r in res.rows)
         assert all(r.nu == 0.0 for r in res.rows)
+        # raw rows keep n as an int, and the raw CSV writes it as one
+        assert [key for key, _, _, _ in res.raw] == [49] * 5 + [100] * 5
+        assert all(type(key) is int for key, _, _, _ in res.raw)
+        emit_csv(res, tmp_path / "s.csv", tmp_path / "r.csv")
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert lines[0] == "n,rep,lambda_hat,mu_hat"
+        assert lines[1].split(",")[:2] == ["49", "0"]
 
     def test_override_keeps_phase_transition_keys(self):
         cfg = small_config(mu_star_override=1.5)
@@ -141,7 +148,7 @@ class TestAggregation:
 
 class TestCsv:
     def test_empty_result_header_only(self, tmp_path):
-        res = ExperimentResult(mode="phase_transition", key_name="nu", rows=(), raw=())
+        res = ExperimentResult(key_name="nu", rows=(), raw=())
         s, r = tmp_path / "s.csv", tmp_path / "r.csv"
         emit_csv(res, s, r)
         assert s.read_text() == "nu,mu_star,n,replicates,mse_lambda,mse_mu\n"
@@ -152,7 +159,7 @@ class TestCsv:
             SummaryRow(nu=0.25, mu_star=1.0, n=100, replicates=2, mse_lambda=0.0025, mse_mu=0.01),
             SummaryRow(nu=0.5, mu_star=0.5, n=100, replicates=2, mse_lambda=0.003, mse_mu=0.02),
         )
-        res = ExperimentResult(mode="phase_transition", key_name="nu", rows=rows, raw=())
+        res = ExperimentResult(key_name="nu", rows=rows, raw=())
         path = tmp_path / "s.csv"
         emit_csv(res, path)
         assert len(path.read_text().splitlines()) == 3
@@ -193,7 +200,7 @@ class TestCsv:
                 assert abs(mu_mse - float(row["mse_mu"])) < 1e-12
 
     def test_unwritable_path(self, tmp_path):
-        res = ExperimentResult(mode="phase_transition", key_name="nu", rows=(), raw=())
+        res = ExperimentResult(key_name="nu", rows=(), raw=())
         with pytest.raises(OSError, match="no/such"):
             emit_csv(res, tmp_path / "no" / "such" / "dir.csv")
 
@@ -216,11 +223,32 @@ class TestConfigFile:
         assert len(cfg.nu_values) == 24
         assert cfg.mode == "phase_transition"
 
+    REQUIRED = (
+        ("kernel", "gaussian"), ("n", "100"), ("lambda_star", "0.25"), ("M", "3"),
+        ("replicates", "2"), ("master_seed", "1"), ("mode", "phase_transition"),
+    )
+
     def test_missing_key_named(self, tmp_path):
         p = tmp_path / "c.config"
-        p.write_text("kernel = gaussian\nn = 100\n")
-        with pytest.raises(ConfigError, match="lambda_star"):
+        for missing, _ in self.REQUIRED:
+            p.write_text("".join(f"{key} = {value}\n" for key, value in self.REQUIRED if key != missing))
+            with pytest.raises(ConfigError, match=f"missing config key '{missing}'"):
+                load_config(p)
+        p.write_text("kernel = gaussian\nn = 100\n")  # the first missing key is named
+        with pytest.raises(ConfigError, match="'lambda_star'"):
             load_config(p)
+
+    def test_absent_optional_keys_take_defaults(self, tmp_path):
+        p = tmp_path / "c.config"
+        # n = 100.0 loads as the int 100
+        p.write_text("".join(f"{key} = {value}\n" for key, value in self.REQUIRED).replace("100", "100.0"))
+        cfg = load_config(p)
+        assert cfg == ExperimentConfig(
+            kernel=GAUSS, n=100, lambda_star=0.25, M=3.0, replicates=2, master_seed=1
+        )
+        assert type(cfg.n) is int
+        assert cfg.n_values is None and cfg.mu_star_override is None
+        assert cfg.inner_method == "quadrature" and cfg.kernel.alpha is None
 
     def test_unknown_key_named(self, tmp_path):
         p = tmp_path / "c.config"
