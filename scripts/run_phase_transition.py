@@ -3,7 +3,8 @@
 
 Defaults to the bundled desk-scale config; point --config at
 configs/fig1_full.config for the full protocol (n = 5000, 1000 replicates
-per nu; about a minute with --workers 2 on two cores).
+per nu; 48 s with --workers 2, measured once on a shared two-core host with
+Python 3.11.7, numpy 2.4.6).
 """
 
 import argparse

@@ -127,8 +127,12 @@ values of ``cross_inner_many`` on those columns only when e > 0, and
 scanned by ``_scan_table``.  The other columns are strictly worse, so
 ``(lambda_index, mu_index, contrast_value)`` is bit-identical to a full
 ``precompute`` and ``_scan_table`` run, for explicit ``inner_products``
-too.  d > 1 uses that direct path, with the inner products of
-``cross_inner_many``.
+too.  In d > 1 the scan takes the direct sums and ``cross_inner_many`` (e =
+0).  These sums and the recompute's each lie within the rounding of a sum in
+any order above, u (c n + (n + c') max_j S_j) (Higham 2002, sections 3-4),
+so eps is twice that.  For the d-dimensional Gaussian c = 1/2 bounds the
+error of the argument, (d + 2) u |x|^2 / 2 relative or (d + 2) u / (e (2
+pi)^(d/2)) absolute, and c' = d + 6 covers exp and the constant (2 pi)^(d/2).
 """
 
 from collections.abc import Callable
@@ -269,9 +273,16 @@ def _inner_products(kernel: Kernel, grid: Grid, inner_products: np.ndarray | Non
     return inner_products
 
 
-def _require_finite(data: np.ndarray) -> None:
+def _checked_data(kernel: Kernel, data) -> np.ndarray:
+    """``data`` as a float array of shape (n,) for dim 1 or (n, d), nonempty
+    and finite; ValueError otherwise."""
+    data = np.asarray(data, dtype=float)
+    point = () if kernel.dim == 1 else (kernel.dim,)
+    if data.ndim == 0 or data.shape[1:] != point or data.shape[0] == 0:
+        raise ValueError(f"data of shape {data.shape} is empty or does not match kernel dim {kernel.dim}")
     if not np.all(np.isfinite(data)):
         raise ValueError("data contains non-finite values (nan or inf)")
+    return data
 
 
 def _direct_shift_sums(kernel: Kernel, mu_levels: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -300,18 +311,9 @@ def precompute(
     ``cross_inner_many``; the Monte-Carlo fidelity mode of the simulation
     harness uses this hook.
     """
-    data = np.asarray(data, dtype=float)
-    n = data.shape[0]
-    if n == 0:
-        raise ValueError("data must be nonempty")
-    if kernel.dim == 1:
-        if data.ndim != 1:
-            raise ValueError(f"expected 1-d data for dim 1, got shape {data.shape}")
-    elif data.ndim != 2 or data.shape[1] != kernel.dim:
-        raise ValueError(f"expected data of shape (n, {kernel.dim}), got {data.shape}")
+    data = _checked_data(kernel, data)
     if grid.dim != kernel.dim:
         raise ValueError("grid dimension does not match kernel dimension")
-    _require_finite(data)
 
     inner_products = _inner_products(kernel, grid, inner_products)
     s0 = float(np.sum(pdf_many(kernel, data)))
@@ -322,7 +324,7 @@ def precompute(
         shift_sums=sums,
         inner_cache=inner_products,
         self_norm=self_inner(kernel),
-        sample_size=n,
+        sample_size=data.shape[0],
     )
 
 
@@ -337,9 +339,7 @@ def contrast(theta: MixtureParams, table: ContrastTable, mu_index: int) -> float
 
 def contrast_naive(kernel: Kernel, theta: MixtureParams, data: np.ndarray) -> float:
     """Direct O(n) contrast evaluation, the testing oracle for the fast path."""
-    data = np.asarray(data, dtype=float)
-    if data.shape[0] == 0:
-        raise ValueError("data must be nonempty")
+    data = _checked_data(kernel, data)
     mean_f = float(np.mean(mixture_pdf_many(kernel, theta, data)))
     return -2.0 * mean_f + mixture_l2_norm_sq(kernel, theta)
 
@@ -353,17 +353,6 @@ def _contrast_values(lam: np.ndarray, table: ContrastTable, s: np.ndarray, c: np
     return a0 + (-2.0 / n) * lam * s + 2.0 * lam * (1.0 - lam) * c
 
 
-def _contrast_chunks(grid: Grid, table: ContrastTable):
-    """Yield (j0, gamma) over mu-column chunks; gamma[i, j] is the contrast at
-    lambda index i and mu index j0 + j."""
-    lam_col = grid.lambda_levels[:, None]
-    cols = max(1, _SCAN_CHUNK_CELLS // lam_col.shape[0])
-    for j0 in range(0, table.shift_sums.shape[0], cols):
-        s_chunk = table.shift_sums[j0 : j0 + cols]
-        c_chunk = table.inner_cache[j0 : j0 + cols]
-        yield j0, _contrast_values(lam_col, table, s_chunk[None, :], c_chunk[None, :])
-
-
 def _scan_table(grid: Grid, table: ContrastTable) -> tuple[float, int, int]:
     """Exhaustive contrast scan; returns (value, lambda_index, mu_index).
 
@@ -374,9 +363,14 @@ def _scan_table(grid: Grid, table: ContrastTable) -> tuple[float, int, int]:
     ValueError instead of returning an arbitrary or missing grid point.
     """
     q = grid.mu_levels.shape[0]
+    lam_col = grid.lambda_levels[:, None]
+    cols = max(1, _SCAN_CHUNK_CELLS // lam_col.shape[0])
     best_val = math.inf
     best_flat = -1
-    for j0, gam in _contrast_chunks(grid, table):
+    for j0 in range(0, q, cols):
+        # gam[i, j] is the contrast at lambda index i and mu index j0 + j
+        at = slice(j0, j0 + cols)
+        gam = _contrast_values(lam_col, table, table.shift_sums[None, at], table.inner_cache[None, at])
         k = int(np.argmin(gam))  # first occurrence: smallest (lam, mu) index in chunk
         i, jj = divmod(k, gam.shape[1])
         val = float(gam[i, jj])
@@ -754,24 +748,35 @@ def _column_minima(grid: Grid, table: ContrastTable) -> np.ndarray:
     return _contrast_values(lam[rows], table, table.shift_sums, table.inner_cache).min(axis=0)
 
 
+def _approximate(kernel: Kernel, grid: Grid, data: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """(sums, eps, inner, inner_err): shift sums within eps of ``precompute``'s
+    and inner products within inner_err of ``cross_inner``'s (module docstring)."""
+    if grid.dim == 1:
+        plan = _grid_plan(kernel, grid)
+        return (*_lattice_shift_sums(plan, grid, data), plan.inner, plan.inner_err)
+    n = data.shape[0]
+    sums = _direct_shift_sums(kernel, grid.mu_levels, data)
+    # the rounding of a sum in any order, for these sums and the recompute's;
+    # the exact max_j S_j is at most s_max + eps
+    s_max = float(np.max(sums))
+    eps = _U * (0.5 * n + (n + grid.dim + 6) * s_max)
+    eps = 2.0 * _U * (0.5 * n + (n + grid.dim + 6) * (s_max + eps))
+    return sums, eps, cross_inner_many(kernel, grid.mu_levels), 0.0
+
+
 def _certified_scan(
     kernel: Kernel, grid: Grid, data: np.ndarray, inner_products: np.ndarray | None = None
 ) -> tuple[float, int, int]:
-    """``_scan_table(grid, precompute(...))`` on a 1-d grid, bit for bit, with
-    lattice-transform sums and an exact recompute of the candidate columns."""
+    """``_scan_table(grid, precompute(...))`` bit for bit, from approximate
+    sums and inner products and an exact recompute of the candidate columns."""
     n = data.shape[0]
-    # the plan's inner products lie within inner_err of cross_inner's, which
-    # the candidates get when inner_err > 0; explicit ones are exact
-    plan = _grid_plan(kernel, grid)
-    if inner_products is None:
-        inner, inner_err = plan.inner, plan.inner_err
-    else:
-        inner, inner_err = _inner_products(kernel, grid, inner_products), 0.0
     # overflowing skew tables (a huge alpha) give eps = inf, so every column
     # is recomputed; a flat column (an explicit inner product equal to
     # ||phi||^2) has no vertex and takes its least value at an end level
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sums, eps = _lattice_shift_sums(plan, grid, data)
+        sums, eps, inner, inner_err = _approximate(kernel, grid, data)
+        if inner_products is not None:  # explicit inner products are exact
+            inner, inner_err = _inner_products(kernel, grid, inner_products), 0.0
         approx = ContrastTable(
             s0=float(np.sum(pdf_many(kernel, data))),
             shift_sums=sums,
@@ -813,21 +818,16 @@ def estimate(
 ) -> EstimateResult:
     """Minimize the contrast over the grid built for n = len(data) and bound M.
 
-    Every 1-d case goes through the certified lattice scan, d > 1 through
-    ``precompute`` and ``_scan_table``; both give the bits of the latter.
+    Every dimension goes through the certified scan, with lattice sums in
+    d = 1 and direct sums in d > 1; both give the bits of ``precompute`` and
+    ``_scan_table``.
     """
-    data = np.asarray(data, dtype=float)
-    _require_finite(data)
-    n = data.shape[0]
-    grid = build_grid(n, M, kernel.dim)
-    if kernel.dim == 1 and data.ndim == 1:
-        val, i, j = _certified_scan(kernel, grid, data, inner_products)
-    else:
-        val, i, j = _scan_table(grid, precompute(kernel, grid, data, inner_products))
-    mu_hat = np.atleast_1d(np.asarray(grid.mu_levels[j], dtype=float)).copy()
+    data = _checked_data(kernel, data)
+    grid = build_grid(data.shape[0], M, kernel.dim)
+    val, i, j = _certified_scan(kernel, grid, data, inner_products)
     return EstimateResult(
         lambda_hat=float(grid.lambda_levels[i]),
-        mu_hat=mu_hat,
+        mu_hat=np.array(grid.mu_levels[j], ndmin=1),
         contrast_value=val,
         lambda_index=i,
         mu_index=j,

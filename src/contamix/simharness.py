@@ -101,9 +101,9 @@ class ExperimentConfig:
                 raise ConfigError(f"no estimation grid for n={n}: {exc}") from None
         for _, nu, n in self.cells():
             mu = self.mu_star(nu, n)
-            if mu > self.M:
+            if not abs(mu) <= self.M:  # also refuses nan
                 raise ConfigError(
-                    f"mu_star {mu:.4g} exceeds the shift bound M={self.M} (nu={nu}, n={n})"
+                    f"mu_star {mu:.4g} lies outside [-M, M] for M={self.M} (nu={nu}, n={n})"
                 )
 
     def mu_star(self, nu: float, n: int) -> float:
@@ -316,6 +316,13 @@ def _parse_scalar(text: str):
         return text
 
 
+def _integer(value) -> int:
+    """An int key's value: an int, or a float with no fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _listed(convert):
     """Conversion of a comma-separated list (or a single value) to a tuple."""
     return lambda value: tuple(map(convert, value if isinstance(value, tuple) else (value,)))
@@ -327,14 +334,14 @@ def _listed(convert):
 _CONFIG_KEYS = {
     "kernel": (str, True),
     "alpha": (float, False),
-    "n": (int, True),
+    "n": (_integer, True),
     "lambda_star": (float, True),
     "nu_values": (_listed(float), False),
     "M": (float, True),
-    "replicates": (int, True),
-    "master_seed": (int, True),
+    "replicates": (_integer, True),
+    "master_seed": (_integer, True),
     "mode": (str, True),
-    "n_values": (_listed(int), False),
+    "n_values": (_listed(_integer), False),
     "mu_star_override": (float, False),
     "inner_method": (str, False),
 }

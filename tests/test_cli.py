@@ -269,6 +269,29 @@ class TestSimulate:
         assert code == 2
         assert "n=2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mu", ["-20", "nan"])
+    def test_override_outside_bound_is_config_error(self, tmp_path, mu):
+        p = tmp_path / "override.config"
+        p.write_text(
+            "kernel = gaussian\nn = 500\nlambda_star = 0.25\nM = 3\nreplicates = 2\n"
+            f"master_seed = 1\nmode = rate_scaling\nn_values = 500\nmu_star_override = {mu}\n"
+        )
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli("simulate", "--config", str(p), "--out", str(out_csv))
+        assert code == 2
+        assert "outside [-M, M]" in err and "Traceback" not in err and out == ""
+        assert not out_csv.exists()
+
+    def test_fractional_integer_key_is_config_error(self, tmp_path):
+        p = tmp_path / "frac.config"
+        p.write_text(
+            "kernel = gaussian\nn = 100.7\nlambda_star = 0.25\nnu_values = 0.5\nM = 3\n"
+            "replicates = 2\nmaster_seed = 1\nmode = phase_transition\n"
+        )
+        code, _, err = run_cli("simulate", "--config", str(p), "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert "invalid config" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("bound", ["inf", "nan"])
     def test_non_finite_bound_is_config_error(self, tmp_path, bound):
         p = tmp_path / "inf.config"

@@ -3,7 +3,7 @@ import threading
 import time
 import tracemalloc
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from contamix.mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf, sam
 from conftest import cross_oracle
 
 GAUSS = Kernel("gaussian")
+GAUSS2 = Kernel("gaussian", dim=2)
 
 
 def naive_scan(kernel, data, grid):
@@ -310,6 +311,31 @@ class TestNonFinite:
             estimate(GAUSS, data, 2.0, inner_products=inner)
 
 
+class TestDataShape:
+    """estimate, precompute and contrast_naive share one data check."""
+
+    @pytest.mark.parametrize(
+        "kernel, data",
+        [
+            (GAUSS, 5.0),
+            (GAUSS, np.zeros((8, 1))),
+            (GAUSS, np.zeros(0)),
+            (GAUSS2, 5.0),
+            (GAUSS2, np.zeros(8)),
+            (GAUSS2, np.zeros((8, 3))),
+            (GAUSS2, np.zeros((0, 2))),
+        ],
+        ids=["0-d", "column", "empty", "0-d-dim2", "flat-dim2", "wide-dim2", "empty-dim2"],
+    )
+    def test_bad_shape_is_value_error(self, kernel, data):
+        with pytest.raises(ValueError, match="data of shape"):
+            estimate(kernel, data, 2.0)
+        with pytest.raises(ValueError, match="data of shape"):
+            precompute(kernel, build_grid(16, 1.0, kernel.dim), data)
+        with pytest.raises(ValueError, match="data of shape"):
+            contrast_naive(kernel, MixtureParams(0.5, np.ones(kernel.dim)), data)
+
+
 class TestLatticePlan:
     """Each 1-d grid's plan holds its inner products and is built once."""
 
@@ -375,11 +401,12 @@ def spy_precompute(monkeypatch):
 
 def assert_lattice_scan_exact(data, M, kernel=GAUSS, inner_products=None):
     """The estimate equals precompute + _scan_table bit for bit, and the
-    lattice sums lie within their bound of the direct sums."""
-    grid = build_grid(len(data), M, 1)
+    approximate sums (lattice in d = 1, direct in d > 1) lie within their
+    bound of precompute's."""
+    grid = build_grid(len(data), M, kernel.dim)
     table = precompute(kernel, grid, data, inner_products)
     val, i, j = estimator._scan_table(grid, table)
-    sums, eps = estimator._lattice_shift_sums(estimator._grid_plan(kernel, grid), grid, data)
+    sums, eps = estimator._approximate(kernel, grid, data)[:2]
     assert np.max(np.abs(sums - table.shift_sums)) <= eps
     res = estimate(kernel, data, M, inner_products)
     assert (res.lambda_index, res.mu_index) == (i, j)
@@ -436,6 +463,38 @@ class TestLatticeScan:
     def test_all_samples_far(self):
         # nothing is binned; the skipped sums (~1e-183) are covered by eps
         assert_lattice_scan_exact(np.linspace(30.0, 31.0, 64), 1.0)
+
+
+class TestCertifiedScanDim2:
+    """d > 1 takes the certified scan with direct sums: bit-equal to
+    precompute + _scan_table, recomputing only the candidate columns."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(4, 2000),
+        M=st.floats(0.5, 1.5),  # q <= 18 000 levels
+        lam=st.floats(0.01, 0.99),
+        mu_frac=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(n=2000, M=1.5, lam=0.25, mu_frac=(0.6, -0.3), seed=11)
+    def test_matches_direct_path(self, n, M, lam, mu_frac, seed):
+        data = sample_mixture(GAUSS2, MixtureParams(lam, np.array(mu_frac) * M), n, seed=seed)
+        assert_lattice_scan_exact(data, M, GAUSS2)
+
+    def test_recomputes_only_candidates(self, monkeypatch):
+        data = sample_mixture(GAUSS2, MixtureParams(0.3, [1.0, -0.5]), 500, seed=4)
+        q = build_grid(500, 1.5, 2).mu_levels.shape[0]
+        sizes = spy_precompute(monkeypatch)
+        estimate(GAUSS2, data, 1.5)
+        assert 1 <= sizes[-1] < q
+
+    def test_symmetric_data_ties(self, monkeypatch):
+        # x and -x give gamma(mu) = gamma(-mu) up to rounding
+        x = sample_mixture(GAUSS2, MixtureParams(0.3, [1.0, 0.5]), 200, seed=22)
+        sizes = spy_precompute(monkeypatch)
+        assert_lattice_scan_exact(np.concatenate([x, -x]), 1.5, GAUSS2)
+        assert sizes[-1] >= 2
 
 
 SKEW = Kernel("skew_gaussian", alpha=10.0)
@@ -544,7 +603,8 @@ class TestLatticeFamilies:
         data = sample_mixture(GAUSS, MixtureParams(0.3, 1.0), 2500, seed=3)
         grid = build_grid(2500, 6.0, 1)
         table = precompute(GAUSS, grid, data)
-        full = np.concatenate([g.min(axis=0) for _, g in estimator._contrast_chunks(grid, table)])
+        lam = grid.lambda_levels[:, None]
+        full = estimator._contrast_values(lam, table, table.shift_sums, table.inner_cache).min(axis=0)
         fast = estimator._column_minima(grid, table)
         assert np.all(fast >= full)
         assert np.max(fast - full) <= 1e-15

@@ -52,6 +52,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(M=0.5)
 
+    @pytest.mark.parametrize("mu", [-20.0, 3.5, math.nan, math.inf])
+    def test_override_outside_bound_rejected(self, mu):
+        with pytest.raises(ConfigError, match="outside"):
+            small_config(mode="rate_scaling", n_values=(100,), mu_star_override=mu)
+
+    def test_override_at_negative_bound_accepted(self):
+        cfg = small_config(mode="rate_scaling", n_values=(100,), mu_star_override=-3.0)
+        assert cfg.mu_star(0.0, 100) == -3.0
+
     def test_replicates_positive(self):
         with pytest.raises(ConfigError):
             small_config(replicates=0)
@@ -249,6 +258,25 @@ class TestConfigFile:
         assert type(cfg.n) is int
         assert cfg.n_values is None and cfg.mu_star_override is None
         assert cfg.inner_method == "quadrature" and cfg.kernel.alpha is None
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", "100.7"), ("replicates", "2.9"), ("master_seed", "1.5"), ("n", "inf"), ("n", "nan")],
+    )
+    def test_integer_keys_refuse_fractions(self, tmp_path, key, value):
+        p = tmp_path / "c.config"
+        p.write_text("".join(f"{k} = {value if k == key else v}\n" for k, v in self.REQUIRED))
+        with pytest.raises(ConfigError, match="invalid config"):
+            load_config(p)
+
+    def test_integer_list_refuses_fractions(self, tmp_path):
+        p = tmp_path / "c.config"
+        body = "".join(f"{k} = {v}\n" for k, v in self.REQUIRED).replace("phase_transition", "rate_scaling")
+        p.write_text(body + "nu_values = 0.5\nn_values = 500.5, 2000\n")
+        with pytest.raises(ConfigError, match="invalid config"):
+            load_config(p)
+        p.write_text(body + "nu_values = 0.5\nn_values = 500.0, 2000\n")
+        assert load_config(p).n_values == (500, 2000)
 
     def test_unknown_key_named(self, tmp_path):
         p = tmp_path / "c.config"
