@@ -77,8 +77,8 @@ def scan_kappa(kernel: Kernel, M: float, steps: int) -> ScanReport:
     positive) and the grid maximum as kappa_upper.  Even densities make r
     symmetric, so positive shifts suffice.
     """
-    if M <= 0:
-        raise ValueError("M must be positive")
+    if not 0.0 < M < math.inf:
+        raise ValueError(f"M must be positive and finite, got {M}")
     if steps < 10:
         raise ValueError("steps must be >= 10")
     mus = np.linspace(M / steps, M, steps)
@@ -127,8 +127,9 @@ def scan_cs_ratio(
     """
     if kernel.dim != 1:
         raise ValueError("scan_cs_ratio is defined for d = 1")
-    if range_ <= 0 or diagonal_margin <= 0:
-        raise ValueError("range and diagonal_margin must be positive")
+    for name, value in (("range", range_), ("diagonal_margin", diagonal_margin)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     half = steps // 2
     if half < 2:
         raise ValueError(f"steps {steps} give a degenerate grid")
@@ -187,8 +188,8 @@ def _pair_scan(
     """
     if lambda_steps < 2 or mu_steps < 2:
         raise ValueError("need at least 2 lambda and mu steps")
-    if not 0.0 < mu_min < mu_range:
-        raise ValueError("need 0 < mu_min < mu_range")
+    if not 0.0 < mu_min < mu_range < math.inf:
+        raise ValueError("need 0 < mu_min < mu_range < inf")
     points = [
         (lam, mu, MixtureParams(lam, mu))
         for lam in map(float, np.linspace(0.1, 0.9, lambda_steps))
@@ -293,8 +294,8 @@ def decorrelation_profile(kernel: Kernel, a_values) -> ScanReport:
     a_values = np.asarray(a_values, dtype=float)
     if a_values.ndim != 1 or a_values.shape[0] == 0:
         raise ValueError("a_values must be a nonempty 1-d sequence")
-    if np.any(a_values <= 0) or np.any(np.diff(a_values) <= 0):
-        raise ValueError("a_values must be positive and strictly increasing")
+    if not np.all(np.isfinite(a_values)) or np.any(a_values <= 0) or np.any(np.diff(a_values) <= 0):
+        raise ValueError("a_values must be finite, positive and strictly increasing")
     c = cross_inner_many(kernel, a_values)
     s = self_inner(kernel)
     threshold = DECORRELATION_THRESHOLDS[kernel.family] * s

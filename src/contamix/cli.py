@@ -151,7 +151,7 @@ def _cmd_inner_product(args) -> int:
     mu = _parse_vector(args.mu, "--mu")
     if mu.size != kernel.dim:
         raise _UsageError(f"--mu: expected {kernel.dim} coordinate(s) for --dim {kernel.dim}, got {mu.size}")
-    value = cross_inner(kernel, float(mu[0]) if kernel.dim == 1 else mu)
+    value = cross_inner(kernel, mu)
     print(f"inner_product={_fmt(value)}")
     return EXIT_OK
 

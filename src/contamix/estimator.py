@@ -30,10 +30,11 @@ families
 
     phi(x - k h) = sum_{p < P} r^p / p! phi^(p)((b - k) h) + R_P,
 
-so w_p(r) = r^p / p! and E_p(t) = phi^(p)(-t).  The transform also returns
-an a-priori bound eps >= max_j |S~_j - S_j|, where S_j is the value
-``precompute`` computes (u = 2^-53 is the unit roundoff).  Every family's
-eps holds
+so w_p(r) = r^p / p! and E_p(t) = phi^(p)(-t).  With D_P >= sup |phi^(P)|,
+one bound covers the remainder of the m binned samples: m D_P r_max^P / P!,
+r_max the largest |r|.  The transform also returns an a-priori bound eps >=
+max_j |S~_j - S_j|, where S_j is the value ``precompute`` computes (u =
+2^-53 is the unit roundoff).  Every family's eps holds
 
 * the rounding of the lattice offsets r and m h and of the mu levels, a shift
   of at most 8 u (K + k_max + 1) h per sample against a bound on |phi'|;
@@ -48,20 +49,18 @@ eps holds
 and its own terms:
 
 * Gaussian (P = 8, T = 12): E_p = He_p phi.  By Cramer's bound |He_P(t)|
-  e^{-t^2/4} <= 1.086435 sqrt(P!), |R_P| <= 1.086435 r_max^P / sqrt(2 pi P!)
-  per binned sample.
+  e^{-t^2/4} <= 1.086435 sqrt(P!), D_P = 1.086435 sqrt(P! / (2 pi)).
 * Laplace (exact, T = 40): for b != k, exp(-|x - k h|) = exp(-|b - k| h)
   exp(-+r), so the weights are e^-r, e^r and e^-|r| against the one-sided
   tables e^{-|t|}/2 for t < 0 and t > 0 and the b = k term.  There is no
-  remainder.
+  remainder: D_P = 0.
 * Cauchy (P = 10, T = 30): phi^(p)(t) = (-1)^p p! Im[(t - i)^-(p+1)] / pi,
-  so |phi^(P)| <= P!/pi and |R_P| <= r_max^P / pi per sample.
-* Skew-Gaussian (P = 12, T = 12): phi = 2 psi Psi(alpha .), by Leibniz with
-  psi^(j) = (-1)^j He_j psi and d^k Psi(alpha t) = alpha^k (-1)^(k-1)
-  He_(k-1)(alpha t) psi(alpha t); the tables are taken at -t, since the
-  kernel is not symmetric.  Cramer's bound on each Leibniz term gives
-  sup |phi^(P)| <= d, |R_P| <= d r_max^P / P! per sample.  A loose eps only
-  recomputes more columns.
+  so D_P = P!/pi.
+* Skew-Gaussian (P = 12, T = 12): phi = 2 psi Psi(alpha .), by Leibniz on
+  psi^(j) = (-1)^j He_j psi and d^k Psi(alpha t) = alpha^k psi^(k-1)(alpha
+  t), both from one Hermite recurrence; the tables are taken at -t, since
+  the kernel is not symmetric.  D_P is the sum of Cramer's bounds on the
+  Leibniz terms.  A loose eps only recomputes more columns.
 
 Inner products on the lattice.  A 1-d grid's lattice plan (``_LatticePlan``,
 memoised per kernel, n and k_max) holds the family's spec, the spectra of
@@ -100,7 +99,7 @@ Gaussian upper tail, e holds
 * Simpson's own error on its window of width w = 24 + |mu| with step h_s =
   w / 16384: w h_s^4 sup |f^(4)| / 180, where sup |f^(4)| <= sum_j C(4, j)
   D_j D_{4-j} by Leibniz and D_j >= sup |phi^(j)| comes from the same
-  Cramer bounds as d above, plus the window tail;
+  Cramer bounds as D_P above, plus the window tail;
 * the rounding of Simpson's nodes (8 u (w + mu_max) each, against lip on
   both factors), of its pdf values and of their products, w sup phi (2 u (c
   + c' sup phi) + 2 lip 8 u (w + mu_max) + u sup phi);
@@ -400,21 +399,26 @@ class _LatticeSpec:
     weight_ulps: np.ndarray  # (P,): rounding of w_p(r) relative to |w_p|, in units of u
     weight_l1: Callable      # (m, r_max) -> (P,) bounds on ||A_p||_1 over m binned samples
     tables: Callable         # t -> ((P, len t) tables E_p(t), (P,) bound on each entry's rounding)
-    remainder: Callable      # (m, r_max) -> bound on the truncation error of m binned samples
+    sup_deriv: float         # sup |phi^(P)|, which bounds the Taylor remainder; 0: exact
     # (root, k_max, half, L, E_0's rounding, ||E_0||_1, ||E_0||_2) -> the bound
     # e of the lattice inner products; None: closed-form inner products
     inner_bound: Callable | None = None
 
 
-def _hermite(t: np.ndarray, count: int):
-    """He_0..He_{count-1} at t by He_{p+1} = t He_p - p He_{p-1}, with the same
-    recurrence on absolute values, which bounds its rounding."""
-    he = [np.ones_like(t), t]
-    habs = [np.ones_like(t), np.abs(t)]
-    for p in range(1, count - 1):
-        he.append(t * he[p] - p * he[p - 1])
-        habs.append(np.abs(t) * habs[p] + p * habs[p - 1])
-    return he, habs
+def _psi_derivatives(x: np.ndarray, count: int):
+    """psi^(j)(x) = (-1)^j He_j(x) psi(x) for j < count, psi the standard
+    normal density, by He_{j+1} = x He_j - j He_{j-1}; and the same
+    recurrence on absolute values times psi(x), which bounds their rounding."""
+    he = [np.ones_like(x), x]
+    habs = [np.ones_like(x), np.abs(x)]
+    for j in range(1, count - 1):
+        he.append(x * he[j] - j * he[j - 1])
+        habs.append(np.abs(x) * habs[j] + j * habs[j - 1])
+    psi = pdf_many(_GAUSS, x)
+    for j in range(count):  # in place: the skew tables hold four such lists at once
+        he[j] = (-1) ** j * he[j] * psi
+        habs[j] = habs[j] * psi
+    return he[:count], habs[:count]
 
 
 def _taylor_spec(kernel: Kernel, order: int, **terms) -> _LatticeSpec:
@@ -441,11 +445,9 @@ def _taylor_spec(kernel: Kernel, order: int, **terms) -> _LatticeSpec:
 
 
 def _gaussian_tables(t: np.ndarray):
-    phi = pdf_many(_GAUSS, t)
-    he, habs = _hermite(t, _GAUSS_ORDER)
-    tables = np.array(he) * phi  # He_p(t) phi(t) = phi^(p)(-t)
+    derivs, bound = _psi_derivatives(-t, _GAUSS_ORDER)  # E_p(t) = phi^(p)(-t)
     orders = np.arange(_GAUSS_ORDER)[:, None]
-    return tables, _U * np.max((2 * orders + 8 + np.square(t)) * np.array(habs) * phi, axis=1)
+    return np.array(derivs), _U * np.max((2 * orders + 8 + np.square(t)) * np.array(bound), axis=1)
 
 
 def _cauchy_tables(t: np.ndarray):
@@ -476,9 +478,8 @@ def _laplace_tables(t: np.ndarray):
 
 
 def _skew_spec(kernel: Kernel) -> _LatticeSpec:
-    """The skew-Gaussian phi(t) = 2 psi(t) Psi(alpha t), by Leibniz: psi^(j) =
-    (-1)^j He_j psi, and the k-th derivative of Psi(alpha t) is alpha^k
-    (-1)^(k-1) He_(k-1)(alpha t) psi(alpha t) for k >= 1."""
+    """The skew-Gaussian phi(t) = 2 psi(t) Psi(alpha t), by Leibniz on the
+    derivatives psi^(j)(t) and d^k Psi(alpha t) = alpha^k psi^(k-1)(alpha t)."""
     alpha = kernel.alpha
     order = _SKEW_ORDER
     with np.errstate(over="ignore"):
@@ -487,19 +488,13 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
     def tables(t):
         s = -t  # the kernel is not symmetric
         z = alpha * s
-        # the derivatives of psi(s) and of Psi(z), and their terms in
-        # absolute value for the rounding bound, replace the Hermite values
-        dpsi, apsi = _hermite(s, order)
-        psi = pdf_many(_GAUSS, s)
-        for j in range(order):
-            dpsi[j] = (-1) ** j * dpsi[j] * psi
-            apsi[j] = apsi[j] * psi
-        dcdf, acdf = _hermite(z, order)
-        psi_z = pdf_many(_GAUSS, z)
-        for k in range(order - 1, 0, -1):
-            dcdf[k] = (-1) ** (k - 1) * powers[k] * dcdf[k - 1] * psi_z
-            acdf[k] = abs(powers[k]) * acdf[k - 1] * psi_z
-        dcdf[0] = acdf[0] = 0.5 * erfc(-z / math.sqrt(2.0))
+        # the derivatives of psi(s) and of Psi(z), and their bounds in
+        # absolute value for the rounding of the tables
+        dpsi, apsi = _psi_derivatives(s, order)
+        dcdf, acdf = _psi_derivatives(z, order - 1)  # psi^(k-1)(z), rebound below
+        cdf = 0.5 * erfc(-z / math.sqrt(2.0))
+        dcdf = [cdf] + [powers[k] * dcdf[k - 1] for k in range(1, order)]
+        acdf = [cdf] + [abs(powers[k]) * acdf[k - 1] for k in range(1, order)]
         table = np.empty((order, t.shape[0]))
         err = np.empty(order)
         for p in range(order):
@@ -508,7 +503,7 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
             err[p] = _U * np.max((4 * p + 24 + np.square(s) + np.square(z)) * bound)
         return table, err
 
-    # Cramer: sup |psi^(j)| <= C sqrt(j!) / sqrt(2 pi), so sup |phi^(P)| <= d
+    # Cramer: sup |psi^(j)| <= C sqrt(j!) / sqrt(2 pi); sup_deriv[p] >= sup |phi^(p)|
     cramer = [_CRAMER * math.sqrt(math.factorial(j)) / math.sqrt(2.0 * math.pi) for j in range(order + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         cdf_derivs = [1.0] + [abs(powers[k]) * cramer[k - 1] for k in range(1, order + 1)]
@@ -518,7 +513,6 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
         ]
         # sup |f^(4)| for f = phi phi_mu, by Leibniz: Simpson's error term
         sup_f4 = sum(math.comb(4, j) * sup_deriv[j] * sup_deriv[4 - j] for j in range(5))
-    d = sup_deriv[order]
     lip = 0.5 + abs(alpha) / math.pi
     eval_abs, eval_rel = 2.0, 16
     spread = math.hypot(1.0, alpha)  # |chi(t)| <= 1.6106 exp(-t^2 / (2 spread^2))
@@ -559,7 +553,7 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
         eval_abs=eval_abs,
         eval_rel=eval_rel,
         tables=tables,
-        remainder=lambda m, r_max: m * d * r_max ** order / math.factorial(order),
+        sup_deriv=sup_deriv[order],
         inner_bound=inner_bound,
     )
 
@@ -572,8 +566,7 @@ _GAUSS_SPEC = _taylor_spec(
     eval_abs=0.5,
     eval_rel=6,
     tables=_gaussian_tables,
-    remainder=lambda m, r_max: m * _CRAMER * r_max ** _GAUSS_ORDER
-    / math.sqrt(2.0 * math.pi * math.factorial(_GAUSS_ORDER)),
+    sup_deriv=_CRAMER * math.sqrt(math.factorial(_GAUSS_ORDER) / (2.0 * math.pi)),
 )
 
 _LAPLACE_SPEC = _LatticeSpec(
@@ -586,7 +579,7 @@ _LAPLACE_SPEC = _LatticeSpec(
     weight_ulps=np.array([2, 2, 2]),
     weight_l1=lambda m, r_max: np.full(3, m * math.exp(r_max)),
     tables=_laplace_tables,
-    remainder=lambda m, r_max: 0.0,
+    sup_deriv=0.0,
 )
 
 _CAUCHY_SPEC = _taylor_spec(
@@ -597,8 +590,7 @@ _CAUCHY_SPEC = _taylor_spec(
     eval_abs=0.5,
     eval_rel=8,
     tables=_cauchy_tables,
-    # |phi^(P)| <= P! / pi
-    remainder=lambda m, r_max: m * r_max ** _CAUCHY_ORDER / math.pi,
+    sup_deriv=math.factorial(_CAUCHY_ORDER) / math.pi,
 )
 
 _SPECS = {"gaussian": _GAUSS_SPEC, "laplace": _LAPLACE_SPEC, "cauchy": _CAUCHY_SPEC}
@@ -711,7 +703,7 @@ def _lattice_shift_sums(plan: _LatticePlan, grid: Grid, data: np.ndarray) -> tup
     l2 = np.sqrt(np.sum(np.square(moments), axis=1))
     # truncation; far samples; offset rounding; moment and table rounding;
     # FFT round-off; then the direct sum's own rounding
-    eps = spec.remainder(m, r_max)
+    eps = m * spec.sup_deriv * r_max ** order / math.factorial(order)
     far = data[~is_near]
     if far.size:
         sums += _direct_shift_sums(spec.kernel, grid.mu_levels, far)

@@ -16,7 +16,9 @@ estimate (``mc_inner``) is kept as an independent cross-check.
 
 Only the Gaussian family is defined for dimension d > 1 (it is the only one
 with a d-dimensional closed-form inner product); the other families are
-strictly one-dimensional here.
+strictly one-dimensional here.  ``pdf``, ``cross_inner`` and ``mixture_pdf``
+take a point or shift by one rule, ``as_point``: any input holding one value
+in dimension 1, a vector of shape (d,) in d > 1.
 """
 
 from dataclasses import dataclass
@@ -98,16 +100,24 @@ def pdf_many(kernel: Kernel, x) -> np.ndarray:
     return np.exp(-0.5 * np.square(x)) / _SQRT_2PI * erfc(-kernel.alpha * x / _SQRT_2)
 
 
-def pdf(kernel: Kernel, x) -> float:
-    """Density at a single point (scalar for dim 1, length-d vector otherwise)."""
+def as_point(kernel: Kernel, x):
+    """The one point rule: a point or shift as the formulas take it.
+
+    In dim 1 that is a float, from any input holding one value (a float, a
+    0-d array, shape (1,) or (1, 1)); in dim d > 1 a float vector of shape
+    (d,).  Anything else raises one ValueError.
+    """
     x = np.asarray(x, dtype=float)
-    if kernel.dim == 1:
-        if x.size != 1:
-            raise ValueError(f"expected a scalar point for dim 1, got shape {x.shape}")
-        return float(pdf_many(kernel, x.reshape(())))
-    if x.shape != (kernel.dim,):
-        raise ValueError(f"point shape {x.shape} does not match kernel dim {kernel.dim}")
-    return float(pdf_many(kernel, x))
+    if kernel.dim == 1 and x.size == 1:
+        return x.item()
+    if kernel.dim > 1 and x.shape == (kernel.dim,):
+        return x
+    raise ValueError(f"a point or shift of shape {x.shape} does not fit kernel dim {kernel.dim}")
+
+
+def pdf(kernel: Kernel, x) -> float:
+    """Density at a single point, taken by ``as_point``."""
+    return float(pdf_many(kernel, as_point(kernel, x)))
 
 
 # ----------------------------- inner products -----------------------------
@@ -130,7 +140,7 @@ _CROSS = {
 
 def self_inner(kernel: Kernel) -> float:
     """Squared L2 norm of the density, ``<phi, phi>``: ``cross_inner`` at shift 0."""
-    return cross_inner(kernel, np.zeros(kernel.dim) if kernel.dim > 1 else 0.0)
+    return cross_inner(kernel, np.zeros(kernel.dim))
 
 
 def _skew_cross_quadrature(kernel: Kernel, mu: float) -> float:
@@ -152,8 +162,8 @@ def _skew_cross_quadrature(kernel: Kernel, mu: float) -> float:
 
 
 # The one cache policy of the package: module-level dict stores, filled once
-# per key under one reentrant lock (a skew grid fill runs skew quadrature
-# fills), each bounded by evicting its oldest entry.
+# per key under one lock, each bounded by evicting its oldest entry.  The lock
+# is reentrant so that a fill which itself calls ``memo`` cannot deadlock.
 _MEMO_LOCK = threading.RLock()
 
 
@@ -181,17 +191,12 @@ _SKEW_LIMIT = 1 << 14
 def cross_inner(kernel: Kernel, mu) -> float:
     """Translation inner product ``<phi, phi(. - mu)>``.
 
-    Exact closed form for gaussian / laplace / cauchy; the fixed Simpson rule
-    for skew_gaussian.
+    The shift is taken by ``as_point``.  Exact closed form for gaussian /
+    laplace / cauchy; the fixed Simpson rule for skew_gaussian.
     """
-    mu = np.asarray(mu, dtype=float)
+    m = as_point(kernel, mu)
     if kernel.dim > 1:
-        if mu.shape != (kernel.dim,):
-            raise ValueError(f"shift shape {mu.shape} does not match kernel dim {kernel.dim}")
-        return _gaussian_cross(float(np.dot(mu, mu)), math.exp, kernel.dim)
-    if mu.size != 1:
-        raise ValueError(f"expected a scalar shift for dim 1, got shape {mu.shape}")
-    m = float(mu.reshape(()))
+        return _gaussian_cross(float(np.dot(m, m)), math.exp, kernel.dim)
     if kernel.family in _CROSS:
         return _CROSS[kernel.family](m, math.exp)
     return memo(_SKEW_CACHE, (kernel.alpha, m), lambda: _skew_cross_quadrature(kernel, m), _SKEW_LIMIT)

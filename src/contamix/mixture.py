@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, cross_inner, pdf_many, sample_with_rng, self_inner
+from .kernels import Kernel, as_point, cross_inner, pdf_many, sample_with_rng, self_inner
 
 __all__ = [
     "MixtureParams",
@@ -53,28 +53,17 @@ def _check_dim(kernel: Kernel, theta: MixtureParams) -> None:
         raise ValueError(f"shift dimension {theta.dim} != kernel dim {kernel.dim}")
 
 
-def _mu_arg(theta: MixtureParams):
-    # kernels take scalar shifts in dim 1 and vectors otherwise
-    return float(theta.mu[0]) if theta.dim == 1 else theta.mu
-
-
 def mixture_pdf_many(kernel: Kernel, theta: MixtureParams, xs) -> np.ndarray:
     """Vectorized mixture density (1 - lam) phi(x) + lam phi(x - mu)."""
     _check_dim(kernel, theta)
     xs = np.asarray(xs, dtype=float)
-    shift = _mu_arg(theta)
+    shift = as_point(kernel, theta.mu)
     return (1.0 - theta.lam) * pdf_many(kernel, xs) + theta.lam * pdf_many(kernel, xs - shift)
 
 
 def mixture_pdf(kernel: Kernel, theta: MixtureParams, x) -> float:
-    """Mixture density at a single point."""
-    _check_dim(kernel, theta)
-    x = np.asarray(x, dtype=float)
-    if kernel.dim == 1 and x.size == 1:
-        x = x.reshape(())
-    elif x.shape != (kernel.dim,):
-        raise ValueError(f"point shape {x.shape} does not match kernel dim {kernel.dim}")
-    return float(mixture_pdf_many(kernel, theta, x))
+    """Mixture density at a single point, taken by ``kernels.as_point``."""
+    return float(mixture_pdf_many(kernel, theta, as_point(kernel, x)))
 
 
 def mixture_l2_norm_sq(kernel: Kernel, theta: MixtureParams) -> float:
@@ -82,7 +71,7 @@ def mixture_l2_norm_sq(kernel: Kernel, theta: MixtureParams) -> float:
     _check_dim(kernel, theta)
     lam = theta.lam
     s = self_inner(kernel)
-    c = cross_inner(kernel, _mu_arg(theta))
+    c = cross_inner(kernel, theta.mu)
     return (lam * lam + (1.0 - lam) ** 2) * s + 2.0 * lam * (1.0 - lam) * c
 
 
@@ -101,10 +90,9 @@ def l2_distance_sq(kernel: Kernel, theta1: MixtureParams, theta2: MixtureParams)
         theta1, theta2 = theta2, theta1
     l1, l2 = theta1.lam, theta2.lam
     s = self_inner(kernel)
-    c1 = cross_inner(kernel, _mu_arg(theta1))
-    c2 = cross_inner(kernel, _mu_arg(theta2))
-    d12 = theta1.mu - theta2.mu
-    c12 = cross_inner(kernel, float(d12[0]) if theta1.dim == 1 else d12)
+    c1 = cross_inner(kernel, theta1.mu)
+    c2 = cross_inner(kernel, theta2.mu)
+    c12 = cross_inner(kernel, theta1.mu - theta2.mu)
     a = l2 - l1
     val = (
         (a * a + l1 * l1 + l2 * l2) * s

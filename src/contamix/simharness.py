@@ -274,8 +274,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats, true/false for bools, str otherwise;
-    the CSV files and the CLI's ``key=value`` records share it."""
+    """Shortest round-trip decimal for floats, true/false for bools, str
+    otherwise: the CLI's ``key=value`` record format."""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, bool):
@@ -284,12 +284,13 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, kind: str, header, rows) -> None:
-    """Write a header and rows of numbers; an OSError names ``kind`` and the path."""
+    """Write a header and rows of Python floats and ints, each by ``str`` (the
+    shortest round-trip decimal); an OSError names ``kind`` and the path."""
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(map(_fmt, row)) + "\n")
+                fh.write(",".join(map(str, row)) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write {kind} CSV {path}: {exc}") from exc
 

@@ -80,6 +80,11 @@ class TestKappa:
         with pytest.raises(ValueError):
             scan_kappa(GAUSS, 3.0, 5)
 
+    @pytest.mark.parametrize("M", [math.inf, math.nan])
+    def test_refuses_non_finite_M(self, M):
+        with pytest.raises(ValueError, match="^M must be positive and finite"):
+            scan_kappa(GAUSS, M, 300)
+
     def test_reproducible(self):
         assert reports_equal(scan_kappa(SKEW, 3.0, 50), scan_kappa(SKEW, 3.0, 50))
 
@@ -112,6 +117,15 @@ class TestCsRatio:
         with pytest.raises(ValueError):
             scan_cs_ratio(GAUSS, 5.0, 2, 0.2)
 
+    @pytest.mark.parametrize(
+        "range_, margin, name",
+        [(math.nan, 0.2, "range"), (math.inf, 0.2, "range"), (5.0, math.inf, "diagonal_margin"),
+         (5.0, math.nan, "diagonal_margin")],
+    )
+    def test_refuses_non_finite_settings(self, range_, margin, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            scan_cs_ratio(GAUSS, range_, 40, margin)
+
     def test_reproducible(self):
         assert reports_equal(scan_cs_ratio(GAUSS, 5.0, 60, 0.2), scan_cs_ratio(GAUSS, 5.0, 60, 0.2))
 
@@ -133,6 +147,12 @@ class TestL2W2:
         rep = scan_l2w2(GAUSS, 5, 3.0, 6)
         assert np.all(rep.surface[:, 4] > 0.0)
         assert np.all(np.isfinite(rep.surface[:, 4]))
+
+    @pytest.mark.parametrize("scan", [scan_l2w2, scan_crucial_inequality])
+    @pytest.mark.parametrize("mu_range", [math.inf, math.nan])
+    def test_pair_scans_refuse_non_finite_range(self, scan, mu_range):
+        with pytest.raises(ValueError, match="mu_range < inf"):
+            scan(GAUSS, 5, mu_range, 6)
 
 
 def reference_pair_scan(kernel, check, lambda_steps, mu_range, mu_steps, mu_min=0.25):
@@ -235,6 +255,11 @@ class TestDecorrelation:
             decorrelation_profile(GAUSS, [2.0, 1.0])
         with pytest.raises(ValueError):
             decorrelation_profile(GAUSS, [-1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_refuses_non_finite_shifts(self, bad):
+        with pytest.raises(ValueError, match="^a_values must be finite"):
+            decorrelation_profile(GAUSS, [1.0, bad])
 
 
 class TestQuadratureStability:

@@ -489,6 +489,22 @@ class TestCertifiedScanDim2:
         estimate(GAUSS2, data, 1.5)
         assert 1 <= sizes[-1] < q
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+    @pytest.mark.parametrize("n", [20, 100, 500])
+    def test_sums_within_half_eps_of_exact(self, n):
+        # eps is twice the rounding bound of one sum; a long-double sum, about
+        # 2^11 times more accurate, stands in for the exact one
+        data = sample_mixture(GAUSS2, MixtureParams(0.3, [1.0, -0.5]), n, seed=n)
+        grid = build_grid(n, 1.5, 2)
+        sums, eps, _, _ = estimator._approximate(GAUSS2, grid, data)
+        x = data.astype(np.longdouble)
+        two_pi = 8.0 * np.arctan(np.longdouble(1.0))
+        exact = np.concatenate([
+            np.sum(np.exp(-0.5 * np.sum(np.square(x[None] - mu[:, None]), axis=2)), axis=1) / two_pi
+            for mu in np.array_split(grid.mu_levels.astype(np.longdouble), 32)
+        ])
+        assert np.max(np.abs(sums - exact)) <= eps / 2
+
     def test_symmetric_data_ties(self, monkeypatch):
         # x and -x give gamma(mu) = gamma(-mu) up to rounding
         x = sample_mixture(GAUSS2, MixtureParams(0.3, [1.0, 0.5]), 200, seed=22)

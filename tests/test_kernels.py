@@ -21,6 +21,7 @@ from contamix.kernels import (
     sample,
     self_inner,
 )
+from contamix.mixture import MixtureParams, mixture_pdf
 
 from conftest import cross_oracle
 
@@ -69,6 +70,39 @@ class TestValidation:
             pdf(GAUSS, [1.0, 2.0])
         with pytest.raises(ValueError):
             pdf(Kernel("gaussian", dim=3), [1.0, 2.0])
+
+
+G2 = Kernel("gaussian", dim=2)
+ONE_POINT = {
+    "pdf": pdf,
+    "cross_inner": cross_inner,
+    "mixture_pdf": lambda kernel, x: mixture_pdf(kernel, MixtureParams(0.3, np.full(kernel.dim, 0.5)), x),
+}
+
+
+class TestPointRule:
+    """pdf, cross_inner and mixture_pdf take a point or shift by one rule."""
+
+    @pytest.mark.parametrize("call", ONE_POINT)
+    @pytest.mark.parametrize("kernel", [GAUSS, SKEW], ids=["gaussian", "skew"])
+    def test_any_single_value_in_dim_1(self, call, kernel):
+        f = ONE_POINT[call]
+        want = f(kernel, 0.7)
+        for x in (np.array(0.7), np.array([0.7]), np.array([[0.7]]), [0.7]):
+            assert f(kernel, x) == want
+
+    @pytest.mark.parametrize("call", ONE_POINT)
+    def test_vector_in_dim_2(self, call):
+        f = ONE_POINT[call]
+        assert f(G2, np.array([0.3, -0.4])) == f(G2, [0.3, -0.4]) > 0.0
+
+    @pytest.mark.parametrize("call", ONE_POINT)
+    @pytest.mark.parametrize(
+        "kernel, x", [(GAUSS, [0.1, 0.2]), (G2, 0.5), (G2, [0.1, 0.2, 0.3])], ids=["d1-(2,)", "d2-()", "d2-(3,)"]
+    )
+    def test_others_refused_with_one_message(self, call, kernel, x):
+        with pytest.raises(ValueError, match=r"^a point or shift of shape \(.*\) does not fit kernel dim \d$"):
+            ONE_POINT[call](kernel, x)
 
 
 class TestPdf:
