@@ -25,14 +25,13 @@ tightness claim.
 """
 
 from dataclasses import dataclass, field
-import itertools
 import math
 
 import numpy as np
 
 from .kernels import Kernel, cross_inner_many, self_inner
-from .metrics import w2_squared
-from .mixture import MixtureParams, l2_distance_sq
+from .metrics import w2_squared, w2_squared_many
+from .mixture import MixtureParams, l2_distance_sq, l2_distance_sq_many
 
 __all__ = [
     "ScanReport",
@@ -177,28 +176,36 @@ def scan_cs_ratio(
     )
 
 
-def _pair_scan(
-    check_name, kernel, lambda_steps, mu_range, mu_steps, mu_min, pairs, ratio, details
-) -> ScanReport:
-    """Minimum of ``ratio(p, q)`` over ``pairs(points)`` of the (lambda, mu) grid.
+def _pair_scan(check_name, kernel, lambda_steps, mu_range, mu_steps, mu_min, pairs, ratio, details) -> ScanReport:
+    """Minimum of num / den over the pairs of the (lambda, mu) grid (d = 1), as arrays.
 
-    Each grid point is a (lam, mu, MixtureParams) triple built once per scan;
-    ``pairs`` yields point pairs lazily and ``details(surface, minimum)`` gives
-    the report's details.  Passes when the minimum is positive.
+    ``pairs(lam, mu)`` maps the grid points, lambda slowest, to the pair columns
+    (lam1, mu1, lam2, mu2).  ``ratio(pair, dist_sq, w2_sq)`` gives (num, den), by
+    the array forms for the surface and by the scalar functions for the extremal
+    pair, whose bits must agree.  ``details(surface, minimum)`` precedes the pair count.
     """
+    if kernel.dim != 1:
+        raise ValueError(f"the {check_name} scan is defined for d = 1")
     if lambda_steps < 2 or mu_steps < 2:
         raise ValueError("need at least 2 lambda and mu steps")
     if not 0.0 < mu_min < mu_range < math.inf:
         raise ValueError("need 0 < mu_min < mu_range < inf")
-    points = [
-        (lam, mu, MixtureParams(lam, mu))
-        for lam in map(float, np.linspace(0.1, 0.9, lambda_steps))
-        for mu in map(float, np.linspace(mu_min, mu_range, mu_steps))
-    ]
-    rows = ((p[0], p[1], q[0], q[1], ratio(p, q)) for p, q in pairs(points))
-    surface = np.fromiter(rows, dtype=(float, 5))
+    lam = np.repeat(np.linspace(0.1, 0.9, lambda_steps), mu_steps)
+    mu = np.tile(np.linspace(mu_min, mu_range, mu_steps), lambda_steps)
+    cols = pairs(lam, mu)
+    num, den = ratio(cols, lambda *p: l2_distance_sq_many(kernel, *p), w2_squared_many)
+    zero = np.flatnonzero(den == 0.0)
+    if zero.size:
+        pair = tuple(c[zero[0]].item() for c in cols)
+        raise ValueError(f"{check_name}: zero denominator at the pair (lam1, mu1, lam2, mu2) = {pair}")
+    surface = np.column_stack((*cols, num / den))
     k = int(np.argmin(surface[:, 4]))
     best = float(surface[k, 4])
+    point = tuple(surface[k, :4].tolist())
+    g1, g2 = MixtureParams(*point[:2]), MixtureParams(*point[2:])
+    num, den = ratio(point, lambda *_: l2_distance_sq(kernel, g1, g2), lambda *_: w2_squared(g1, g2))
+    if num / den != best:
+        raise RuntimeError(f"{check_name}: the scalar functions disagree with the surface at {point}")
     return ScanReport(
         check_name=check_name,
         kernel=kernel,
@@ -206,10 +213,10 @@ def _pair_scan(
             lambda_steps=lambda_steps, mu_range=float(mu_range), mu_steps=mu_steps, mu_min=float(mu_min)
         ),
         extremal_value=best,
-        extremal_point=tuple(float(v) for v in surface[k, :4]),
+        extremal_point=point,
         passed=best > 0.0,
         tolerance=0.0,
-        details=details(surface, best),
+        details={**details(surface, best), "pairs": surface.shape[0]},
         surface_columns=("lam1", "mu1", "lam2", "mu2", "ratio"),
         surface=surface,
     )
@@ -229,26 +236,17 @@ def scan_l2w2(
     collapses; their maximum is published alongside the overall minimum
     (the empirical domination constant c_hat, no tightness claimed).
     """
-    if kernel.dim != 1:
-        raise ValueError("scan_l2w2 is defined for d = 1")
-
-    def pairs(points):
-        yield from itertools.combinations(points, 2)
-        for p in points:
-            lam, mu = p[0] + 1e-3, p[1] + 1e-3
-            yield p, (lam, mu, MixtureParams(lam, mu))
-
-    def ratio(p, q) -> float:
-        return math.sqrt(l2_distance_sq(kernel, p[2], q[2])) / w2_squared(p[2], q[2])
+    def pairs(lam, mu):
+        # itertools.combinations' pairs, then each point with its twin shifted by (1e-3, 1e-3)
+        i, j = np.triu_indices(lam.size, 1)
+        join = np.concatenate
+        return join([lam[i], lam]), join([mu[i], mu]), join([lam[j], lam + 1e-3]), join([mu[j], mu + 1e-3])
 
     near = lambda_steps * mu_steps
     return _pair_scan(
-        "l2w2", kernel, lambda_steps, mu_range, mu_steps, mu_min, pairs, ratio,
-        lambda surface, best: {
-            "c_hat": best,
-            "near_diagonal_max": float(np.max(surface[-near:, 4])),
-            "pairs": surface.shape[0],
-        },
+        "l2w2", kernel, lambda_steps, mu_range, mu_steps, mu_min, pairs,
+        lambda p, dist_sq, w2_sq: (np.sqrt(dist_sq(*p)), w2_sq(*p)),
+        lambda surface, best: {"c_hat": best, "near_diagonal_max": float(np.max(surface[-near:, 4]))},
     )
 
 
@@ -269,18 +267,20 @@ def scan_crucial_inequality(
     domination by the L2 distance drives the convergence rates).  Passes when
     the minimum is positive.
     """
-    if kernel.dim != 1:
-        raise ValueError("scan_crucial_inequality is defined for d = 1")
+    def pairs(lam, mu):
+        # itertools.permutations' pairs: every i != j, row-major
+        i, j = np.nonzero(~np.eye(lam.size, dtype=bool))
+        return lam[i], mu[i], lam[j], mu[j]
 
-    def ratio(p, q) -> float:
-        (l1, m1, g1), (l2, m2, g2) = p, q
-        den = (l1 - l2) ** 2 * m1 * m1 * m2 * m2 + l2 * l2 * m2 * m2 * (m1 - m2) ** 2
-        return l2_distance_sq(kernel, g1, g2) / den
+    def ratio(pair, dist_sq, w2_sq):
+        l1, m1, l2, m2 = pair
+        # float_power is libm pow, as a float's ** 2 is; x * x differs from it in some last bits
+        den = np.float_power(l1 - l2, 2) * m1 * m1 * m2 * m2 + l2 * l2 * m2 * m2 * np.float_power(m1 - m2, 2)
+        return dist_sq(*pair), den
 
     return _pair_scan(
-        "crucial", kernel, lambda_steps, mu_range, mu_steps, mu_min,
-        lambda points: itertools.permutations(points, 2), ratio,
-        lambda surface, best: {"min_ratio": best, "pairs": surface.shape[0]},
+        "crucial", kernel, lambda_steps, mu_range, mu_steps, mu_min, pairs, ratio,
+        lambda surface, best: {"min_ratio": best},
     )
 
 

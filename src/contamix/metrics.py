@@ -17,11 +17,12 @@ import math
 import numpy as np
 
 from .kernels import Kernel
-from .mixture import MixtureParams, l2_distance_sq
+from .mixture import MixtureParams, _pair_arrays, l2_distance_sq
 
 __all__ = [
     "MixingDistribution",
     "w2_squared",
+    "w2_squared_many",
     "w1",
     "transport_oracle",
     "l2_over_w2sq_ratio",
@@ -44,24 +45,36 @@ def _sq(v: np.ndarray) -> float:
     return float(np.dot(v, v))
 
 
-def w2_squared(g1: MixingDistribution, g2: MixingDistribution) -> float:
-    """Closed-form squared 2-Wasserstein distance (three cases).
+def _w2_formula(la, lb, u, v, w):
+    """W2^2 for lam = la <= lam' = lb from u = ||mu||^2, v = ||mu'||^2 and
+    w = ||mu - mu'||^2; floats or arrays alike.
 
-    With lam <= lam', writing u = ||mu||^2, v = ||mu'||^2, w = ||mu - mu'||^2:
     u + v >= w sends all of the lighter shifted atom onto the heavier one;
     otherwise both shifted atoms prefer the origin, splitting on whether the
     total shifted mass exceeds 1.  Ties on the case boundary agree across
     formulas, so >= is used for the first case.
     """
+    onto_heavier = (lb - la) * v + la * w
+    light = la * u + lb * v
+    heavy = (1.0 - lb) * u + (1.0 - la) * v + (la + lb - 1.0) * w
+    return np.where(u + v >= w, onto_heavier, np.where(la + lb <= 1.0, light, heavy))
+
+
+def w2_squared(g1: MixingDistribution, g2: MixingDistribution) -> float:
+    """Closed-form squared 2-Wasserstein distance (three cases, ``_w2_formula``)."""
     a, b = _ordered(g1, g2)
-    u = _sq(a.mu)
-    v = _sq(b.mu)
-    w = _sq(a.mu - b.mu)
-    if u + v >= w:
-        return (b.lam - a.lam) * v + a.lam * w
-    if a.lam + b.lam <= 1.0:
-        return a.lam * u + b.lam * v
-    return (1.0 - b.lam) * u + (1.0 - a.lam) * v + (a.lam + b.lam - 1.0) * w
+    return float(_w2_formula(a.lam, b.lam, _sq(a.mu), _sq(b.mu), _sq(a.mu - b.mu)))
+
+
+def w2_squared_many(lam1, mu1, lam2, mu2) -> np.ndarray:
+    """``w2_squared`` of the d = 1 pairs (lam1, mu1), (lam2, mu2), elementwise
+    and bit for bit; the arguments broadcast and are checked as
+    ``MixtureParams`` checks them."""
+    (lam1, mu1, lam2, mu2), shape = _pair_arrays(lam1, mu1, lam2, mu2)
+    swap = lam2 < lam1
+    la, lb = np.where(swap, lam2, lam1), np.where(swap, lam1, lam2)
+    ma, mb = np.where(swap, mu2, mu1), np.where(swap, mu1, mu2)
+    return _w2_formula(la, lb, ma * ma, mb * mb, (ma - mb) * (ma - mb)).reshape(shape)
 
 
 def w1(g1: MixingDistribution, g2: MixingDistribution) -> float:

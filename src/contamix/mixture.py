@@ -17,6 +17,7 @@ __all__ = [
     "mixture_pdf_many",
     "mixture_l2_norm_sq",
     "l2_distance_sq",
+    "l2_distance_sq_many",
     "sample_mixture",
 ]
 
@@ -48,6 +49,19 @@ class MixtureParams:
         return self.mu.shape[0]
 
 
+def _pair_arrays(lam1, mu1, lam2, mu2):
+    """d = 1 parameter pairs as four flat float arrays and their broadcast shape,
+    checked by the rule and messages of ``MixtureParams``."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lam1, mu1, lam2, mu2)))
+    lams, mus = np.concatenate(arrays[0::2], axis=None), np.concatenate(arrays[1::2], axis=None)
+    outside = np.flatnonzero(~((0.0 <= lams) & (lams <= 1.0)))
+    if outside.size:
+        raise ValueError(f"lam must lie in [0, 1], got {lams[outside[0]]}")
+    if not np.all(np.isfinite(mus)):
+        raise ValueError("mu must be finite")
+    return [v.ravel() for v in arrays], arrays[0].shape
+
+
 def _check_dim(kernel: Kernel, theta: MixtureParams) -> None:
     if theta.dim != kernel.dim:
         raise ValueError(f"shift dimension {theta.dim} != kernel dim {kernel.dim}")
@@ -75,32 +89,58 @@ def mixture_l2_norm_sq(kernel: Kernel, theta: MixtureParams) -> float:
     return (lam * lam + (1.0 - lam) ** 2) * s + 2.0 * lam * (1.0 - lam) * c
 
 
-def l2_distance_sq(kernel: Kernel, theta1: MixtureParams, theta2: MixtureParams) -> float:
-    """Exact  ||f_theta1 - f_theta2||_2^2  from kernel inner products.
+def _l2_formula(l1, l2, s, c1, c2, c12):
+    """||f_theta1 - f_theta2||_2^2 before the clamp, for floats or arrays alike.
 
     The difference expands as (lam2 - lam1) phi + lam1 phi_mu1 - lam2 phi_mu2,
-    so three cross inner products suffice.  Arguments are put in a canonical
-    order first, making the result bitwise symmetric.  Round-off can push the
-    value a hair below zero for near-identical parameters; it is clamped at 0
-    so callers can take square roots.
+    so the self inner product s and three cross inner products suffice.
     """
-    _check_dim(kernel, theta1)
-    _check_dim(kernel, theta2)
-    if (theta2.lam, tuple(theta2.mu)) < (theta1.lam, tuple(theta1.mu)):
-        theta1, theta2 = theta2, theta1
-    l1, l2 = theta1.lam, theta2.lam
-    s = self_inner(kernel)
-    c1 = cross_inner(kernel, theta1.mu)
-    c2 = cross_inner(kernel, theta2.mu)
-    c12 = cross_inner(kernel, theta1.mu - theta2.mu)
     a = l2 - l1
-    val = (
+    return (
         (a * a + l1 * l1 + l2 * l2) * s
         + 2.0 * a * l1 * c1
         - 2.0 * a * l2 * c2
         - 2.0 * l1 * l2 * c12
     )
-    return max(val, 0.0)
+
+
+def l2_distance_sq(kernel: Kernel, theta1: MixtureParams, theta2: MixtureParams) -> float:
+    """Exact  ||f_theta1 - f_theta2||_2^2  from kernel inner products.
+
+    Arguments are put in a canonical order first, making the result bitwise
+    symmetric.  Round-off can push the value a hair below zero for
+    near-identical parameters; it is clamped at 0 so callers can take square
+    roots.
+    """
+    _check_dim(kernel, theta1)
+    _check_dim(kernel, theta2)
+    if (theta2.lam, tuple(theta2.mu)) < (theta1.lam, tuple(theta1.mu)):
+        theta1, theta2 = theta2, theta1
+    c = [cross_inner(kernel, m) for m in (theta1.mu, theta2.mu, theta1.mu - theta2.mu)]
+    return max(_l2_formula(theta1.lam, theta2.lam, self_inner(kernel), *c), 0.0)
+
+
+def l2_distance_sq_many(kernel: Kernel, lam1, mu1, lam2, mu2) -> np.ndarray:
+    """``l2_distance_sq`` of the d = 1 pairs (lam1, mu1), (lam2, mu2), elementwise.
+
+    Every value has the scalar function's bits: each pair is put in the same
+    lexicographic order, and the scalar ``cross_inner`` (``math.exp``, where
+    ``cross_inner_many`` uses ``np.exp``) runs once per distinct shift.  The
+    arguments broadcast; the parameters are checked as ``MixtureParams``
+    checks them.
+    """
+    if kernel.dim != 1:
+        raise ValueError("l2_distance_sq_many is defined for d = 1")
+    (lam1, mu1, lam2, mu2), shape = _pair_arrays(lam1, mu1, lam2, mu2)
+    swap = (lam2 < lam1) | ((lam2 == lam1) & (mu2 < mu1))
+    l1, l2 = np.where(swap, lam2, lam1), np.where(swap, lam1, lam2)
+    m1, m2 = np.where(swap, mu2, mu1), np.where(swap, mu1, mu2)
+    shifts = (m1, m2, m1 - m2)
+    # one sort per shift array, not one of all three: it keeps the peak memory down
+    distinct = np.unique(np.concatenate([np.unique(m) for m in shifts]))
+    inner = np.array([cross_inner(kernel, m) for m in distinct.tolist()])
+    c = [inner[np.searchsorted(distinct, m)] for m in shifts]
+    return np.maximum(_l2_formula(l1, l2, self_inner(kernel), *c), 0.0).reshape(shape)
 
 
 def sample_mixture(kernel: Kernel, theta: MixtureParams, count: int, seed: int) -> np.ndarray:

@@ -11,6 +11,40 @@ def any_kernel(request) -> Kernel:
     return Kernel(request.param)
 
 
+# (lam1, mu1, lam2, mu2) pairs on the edges of the array forms of
+# ``l2_distance_sq`` and ``w2_squared``: equal lam with mu in either order (the
+# canonical swap), equal mu, lam at 0 and 1, one mu at 0 (u + v = w, the W2
+# case boundary in d = 1), lam + lam' = 1, identical parameters
+EDGE_PAIRS = [
+    (0.4, 1.3, 0.4, -0.7),
+    (0.4, -0.7, 0.4, 1.3),
+    (0.4, 2.0, 0.4, 2.0 + 1e-9),
+    (0.2, 1.1, 0.7, 1.1),
+    (0.7, -1.1, 0.2, -1.1),
+    (0.0, 1.5, 0.6, -2.0),
+    (1.0, 1.5, 0.6, -2.0),
+    (0.0, -0.3, 1.0, 0.8),
+    (0.5, 0.0, 0.8, 1.7),
+    (0.8, 1.7, 0.5, 0.0),
+    (0.3, -1.2, 0.7, 0.9),
+    (0.7, 0.9, 0.3, -1.2),
+    (0.25, 2.0, 0.75, -0.5),
+    (0.6, 1.4, 0.6, 1.4),
+]
+
+
+# (lam, mu) values ``MixtureParams`` refuses, and so must the array forms
+INVALID_PARAMS = [(-0.1, 1.0), (1.5, 1.0), (float("nan"), 1.0), (0.5, float("inf")), (0.5, float("nan"))]
+
+
+def random_pairs(seed: int, count: int = 300):
+    """(lam1, mu1, lam2, mu2) arrays: lam uniform on [0, 1], mu on [-5, 5]."""
+    rng = np.random.default_rng(seed)
+    lams = rng.uniform(0.0, 1.0, (2, count))
+    mus = rng.uniform(-5.0, 5.0, (2, count))
+    return lams[0], mus[0], lams[1], mus[1]
+
+
 @pytest.fixture(params=["gaussian", "laplace", "cauchy"])
 def closed_form_kernel(request) -> Kernel:
     return Kernel(request.param)

@@ -1,8 +1,11 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contamix.certify import (
     decorrelation_profile,
@@ -196,15 +199,53 @@ def reference_pair_scan(kernel, check, lambda_steps, mu_range, mu_steps, mu_min=
     return surface, tuple(float(v) for v in surface[k, :4]), best, details
 
 
-@pytest.mark.parametrize("check, scan", [("l2w2", scan_l2w2), ("crucial", scan_crucial_inequality)])
-def test_pair_scans_match_reference_bitwise(any_kernel, check, scan):
-    surface, point, value, details = reference_pair_scan(any_kernel, check, 3, 2.0, 4)
-    rep = scan(any_kernel, 3, 2.0, 4)
+PAIR_SCANS = [("l2w2", scan_l2w2), ("crucial", scan_crucial_inequality)]
+
+
+@pytest.mark.parametrize("check, scan", PAIR_SCANS)
+@pytest.mark.parametrize(
+    "kernel",
+    [GAUSS, Kernel("laplace"), CAUCHY, SKEW, Kernel("skew_gaussian", alpha=-0.5)],
+    ids=["gaussian", "laplace", "cauchy", "skew_gaussian", "skew_gaussian(-0.5)"],
+)
+@settings(max_examples=12, deadline=None)
+@given(
+    lambda_steps=st.integers(2, 6),
+    mu_steps=st.integers(2, 6),
+    mu_min=st.floats(0.01, 2.0),
+    mu_gap=st.floats(0.01, 4.0),
+)
+def test_pair_scans_match_reference_bitwise(kernel, check, scan, lambda_steps, mu_steps, mu_min, mu_gap):
+    mu_range = mu_min + mu_gap
+    surface, point, value, details = reference_pair_scan(kernel, check, lambda_steps, mu_range, mu_steps, mu_min)
+    rep = scan(kernel, lambda_steps, mu_range, mu_steps, mu_min)
     assert rep.surface.shape == surface.shape and rep.surface.tobytes() == surface.tobytes()
     assert rep.extremal_point == point
     assert rep.extremal_value == value
     assert rep.details == details
     assert [type(v) for v in rep.details.values()] == [type(v) for v in details.values()]
+
+
+@pytest.mark.parametrize("check, scan", PAIR_SCANS)
+def test_pair_scans_refuse_a_zero_denominator(check, scan):
+    # W2^2 and the crucial denominator both underflow to 0 at these shifts
+    with pytest.raises(ValueError, match=rf"^{check}: zero denominator at the pair \(lam1, mu1, lam2, mu2\)"):
+        scan(GAUSS, 2, 1e-300, 2, mu_min=1e-310)
+
+
+def test_crucial_scan_memory_stays_a_small_multiple_of_the_surface():
+    # 20 x 30 grid points: 359 400 ordered pairs, a 14.4 MB surface; the pair
+    # columns, their canonical order and the inner products peak at about 3.2
+    # surfaces
+    scan_crucial_inequality(GAUSS, 2, 3.0, 2)
+    tracemalloc.start()
+    try:
+        rep = scan_crucial_inequality(GAUSS, 20, 3.0, 30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.surface.shape == (600 * 599, 5)
+    assert peak <= 4 * rep.surface.nbytes
 
 
 class TestCrucial:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from contamix.metrics import (
     transport_oracle,
     w1,
     w2_squared,
+    w2_squared_many,
 )
 from contamix.mixture import MixtureParams, mixture_pdf_many
 
-from conftest import simpson_oracle
+from conftest import EDGE_PAIRS, INVALID_PARAMS, random_pairs, simpson_oracle
 
 GAUSS = Kernel("gaussian")
 
@@ -159,3 +161,37 @@ class TestL2OverW2:
                 continue
             r = l2_over_w2sq_ratio(GAUSS, t1, t2)
             assert 0.0 < r < math.inf
+
+
+class TestW2Arrays:
+    """``w2_squared_many`` has the scalar function's bits on every pair."""
+
+    @pytest.mark.parametrize("pairs", ["random", "edges"])
+    def test_matches_scalar_bitwise_in_either_order(self, pairs):
+        l1, m1, l2, m2 = random_pairs(20261020) if pairs == "random" else np.array(EDGE_PAIRS).T
+        expected = np.array(
+            [w2_squared(G(a, b), G(c, d)) for a, b, c, d in zip(l1.tolist(), m1.tolist(), l2.tolist(), m2.tolist())]
+        )
+        assert w2_squared_many(l1, m1, l2, m2).tobytes() == expected.tobytes()
+        assert w2_squared_many(l2, m2, l1, m1).tobytes() == expected.tobytes()
+
+    def test_random_pairs_reach_every_case(self):
+        # the W2 closed form's three cases, by the scalar rule of w2_squared
+        l1, m1, l2, m2 = random_pairs(20261020)
+        first = m1 * m1 + m2 * m2 >= (m1 - m2) * (m1 - m2)
+        heavy = l1 + l2 > 1.0
+        assert np.any(first) and np.any(~first & ~heavy) and np.any(~first & heavy)
+
+    def test_broadcasts_to_the_arguments_shape(self):
+        got = w2_squared_many(0.3, np.array([[0.5, -1.0], [2.0, 0.0]]), 0.8, -0.4)
+        assert got.shape == (2, 2)
+        assert got[1, 0] == w2_squared(G(0.3, 2.0), G(0.8, -0.4))
+
+    @pytest.mark.parametrize("lam, mu", INVALID_PARAMS)
+    def test_refuses_what_mixture_params_refuses(self, lam, mu):
+        with pytest.raises(ValueError) as refused:
+            MixtureParams(lam, mu)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            w2_squared_many([0.2, lam], [1.0, mu], 0.5, 0.5)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            w2_squared_many(0.5, 0.5, [0.2, lam], [1.0, mu])

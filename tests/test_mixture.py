@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from contamix.kernels import Kernel, pdf, pdf_many, self_inner
 from contamix.mixture import (
     MixtureParams,
     l2_distance_sq,
+    l2_distance_sq_many,
     mixture_l2_norm_sq,
     mixture_pdf,
     mixture_pdf_many,
     sample_mixture,
 )
 
-from conftest import simpson_oracle
+from conftest import EDGE_PAIRS, INVALID_PARAMS, random_pairs, simpson_oracle
 
 GAUSS = Kernel("gaussian")
 
@@ -153,6 +155,43 @@ class TestDistance:
         assert l2_distance_sq(k3, t1, t2) == 0.0
         t3 = MixtureParams(0.6, [0.5, 0.5, 0.5])
         assert l2_distance_sq(k3, t1, t3) > 0.0
+
+
+def scalar_distances(kernel, l1, m1, l2, m2) -> np.ndarray:
+    pairs = zip(l1.tolist(), m1.tolist(), l2.tolist(), m2.tolist())
+    return np.array([l2_distance_sq(kernel, MixtureParams(a, b), MixtureParams(c, d)) for a, b, c, d in pairs])
+
+
+class TestDistanceArrays:
+    """``l2_distance_sq_many`` has the scalar function's bits on every pair."""
+
+    @pytest.mark.parametrize("pairs", ["random", "edges"])
+    def test_matches_scalar_bitwise_in_either_order(self, any_kernel, pairs):
+        l1, m1, l2, m2 = random_pairs(20261019) if pairs == "random" else np.array(EDGE_PAIRS).T
+        expected = scalar_distances(any_kernel, l1, m1, l2, m2)
+        assert l2_distance_sq_many(any_kernel, l1, m1, l2, m2).tobytes() == expected.tobytes()
+        assert l2_distance_sq_many(any_kernel, l2, m2, l1, m1).tobytes() == expected.tobytes()
+
+    def test_broadcasts_to_the_arguments_shape(self):
+        mus = np.array([[0.5, 1.0, 2.0], [-1.0, 0.0, 3.0]])
+        got = l2_distance_sq_many(GAUSS, 0.3, mus, np.full((2, 3), 0.6), -0.4)
+        assert got.shape == (2, 3)
+        lam1 = np.full(6, 0.3)
+        expected = scalar_distances(GAUSS, lam1, mus.ravel(), np.full(6, 0.6), np.full(6, -0.4))
+        assert got.ravel().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("lam, mu", INVALID_PARAMS)
+    def test_refuses_what_mixture_params_refuses(self, lam, mu):
+        with pytest.raises(ValueError) as refused:
+            MixtureParams(lam, mu)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            l2_distance_sq_many(GAUSS, [0.2, lam], [1.0, mu], 0.5, 0.5)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            l2_distance_sq_many(GAUSS, 0.5, 0.5, [0.2, lam], [1.0, mu])
+
+    def test_refuses_dim_above_one(self):
+        with pytest.raises(ValueError, match="defined for d = 1"):
+            l2_distance_sq_many(Kernel("gaussian", dim=2), 0.2, 1.0, 0.5, 0.5)
 
 
 class TestSampling:
