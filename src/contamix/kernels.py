@@ -22,6 +22,7 @@ in dimension 1, a vector of shape (d,) in d > 1.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 import threading
 
@@ -96,8 +97,22 @@ def pdf_many(kernel: Kernel, x) -> np.ndarray:
         return 0.5 * np.exp(-np.abs(x))
     if kernel.family == "cauchy":
         return 1.0 / (math.pi * (1.0 + np.square(x)))
-    # skew_gaussian: 2 * psi(x) * Psi(alpha x), with Psi via erfc
-    return np.exp(-0.5 * np.square(x)) / _SQRT_2PI * erfc(-kernel.alpha * x / _SQRT_2)
+    # [()] makes a 0-d result a scalar, as the ufunc expressions above give it
+    return _skew_pdf(kernel.alpha, x, np.empty(x.shape), np.empty(x.shape))[()]
+
+
+def _skew_pdf(alpha: float, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The skew-Gaussian density 2 psi(x) Psi(alpha x), Psi via erfc, written
+    into ``out``, which may be ``x``; ``tmp`` is scratch of the same shape."""
+    np.multiply(x, -alpha, out=tmp)
+    tmp /= _SQRT_2
+    erfc(tmp, out=tmp)
+    np.square(x, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= _SQRT_2PI
+    out *= tmp
+    return out
 
 
 def as_point(kernel: Kernel, x):
@@ -149,16 +164,38 @@ def _skew_cross_quadrature(kernel: Kernel, mu: float) -> float:
     The integrand decays like exp(-(x - mu/2)^2), so a window covering
     [min(0, mu) - L, max(0, mu) + L], L = ``SIMPSON_HALF_WIDTH``, keeps the
     truncated tail below 1e-12.
+
+    The rule works in the arrays of ``_simpson_arrays`` under the memo lock
+    and allocates none: fresh 131 kB arrays are mmap-ed and page-faulted on
+    every fill in some allocator states.  OpenBLAS shares a dot product of
+    over 10 000 terms among all cores, so np.dot's bits would depend on the
+    core count; summing the halves on one thread gives its two-core bits,
+    which the pinned outputs hold, on any core count.
     """
     lo = min(0.0, mu) - SIMPSON_HALF_WIDTH
     hi = max(0.0, mu) + SIMPSON_HALF_WIDTH
-    xs = np.linspace(lo, hi, SIMPSON_PANELS + 1)
-    vals = pdf_many(kernel, xs) * pdf_many(kernel, xs - mu)
     h = (hi - lo) / SIMPSON_PANELS
-    w = np.ones(SIMPSON_PANELS + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(np.dot(w, vals) * (h / 3.0))
+    with _MEMO_LOCK:
+        nodes, weights, xs, vals, tmp = _simpson_arrays()
+        # np.linspace(lo, hi, SIMPSON_PANELS + 1), bit for bit
+        np.multiply(nodes, h, out=xs)
+        xs += lo
+        xs[-1] = hi
+        _skew_pdf(kernel.alpha, xs, vals, tmp)
+        xs -= mu
+        vals *= _skew_pdf(kernel.alpha, xs, xs, tmp)
+        k = (SIMPSON_PANELS + 2) // 2  # OpenBLAS's first of two shares
+        return float((np.dot(weights[:k], vals[:k]) + np.dot(weights[k:], vals[k:])) * (h / 3.0))
+
+
+@functools.cache
+def _simpson_arrays() -> tuple:
+    """Node indices 0..SIMPSON_PANELS and Simpson weights, then three scratch arrays."""
+    nodes = np.arange(SIMPSON_PANELS + 1, dtype=float)
+    weights = np.ones(SIMPSON_PANELS + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return (nodes, weights, *(np.empty(SIMPSON_PANELS + 1) for _ in range(3)))
 
 
 # The one cache policy of the package: module-level dict stores, filled once

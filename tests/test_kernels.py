@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import erfc
 
 from contamix import kernels
 from contamix.kernels import (
@@ -342,3 +345,38 @@ class TestQuadratureDefaults:
         tail, _ = integrate.quad(lambda x: pdf(SKEW, x), width, np.inf)
         tail_lo, _ = integrate.quad(lambda x: pdf(SKEW, x), -np.inf, -width)
         assert tail + tail_lo < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.sampled_from([10.0, -0.5]), mu=st.floats(-40.0, 40.0))
+    def test_in_place_rule_has_the_linspace_bits(self, alpha, mu):
+        lo, hi = min(0.0, mu) - kernels.SIMPSON_HALF_WIDTH, max(0.0, mu) + kernels.SIMPSON_HALF_WIDTH
+        xs = np.linspace(lo, hi, kernels.SIMPSON_PANELS + 1)
+
+        def density(x):
+            return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi) * erfc(-alpha * x / math.sqrt(2.0))
+
+        w = np.ones(xs.size)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        v, k = density(xs) * density(xs - mu), (xs.size + 1) // 2
+        want = float((np.dot(w[:k], v[:k]) + np.dot(w[k:], v[k:])) * ((hi - lo) / kernels.SIMPSON_PANELS / 3.0))
+        assert kernels._skew_cross_quadrature(Kernel("skew_gaussian", alpha), mu) == want
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        shifts = [-7.3, -0.4, 0.0, 1.3, 2.0, 9.1]
+        code = (
+            "from contamix import kernels; "
+            f"print([kernels._skew_cross_quadrature(kernels.Kernel('skew_gaussian', 10.0), m) for m in {shifts}])"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.strip() == repr([kernels._skew_cross_quadrature(SKEW, m) for m in shifts])
+
+    def test_fill_allocates_no_array(self):
+        kernels._skew_cross_quadrature(SKEW, 0.5)  # builds the rule's arrays
+        tracemalloc.start()
+        try:
+            kernels._skew_cross_quadrature(SKEW, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (kernels.SIMPSON_PANELS + 1) // 4  # under a quarter of one node array
