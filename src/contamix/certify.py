@@ -193,7 +193,11 @@ def _pair_scan(check_name, kernel, lambda_steps, mu_range, mu_steps, mu_min, pai
     lam = np.repeat(np.linspace(0.1, 0.9, lambda_steps), mu_steps)
     mu = np.tile(np.linspace(mu_min, mu_range, mu_steps), lambda_steps)
     cols = pairs(lam, mu)
-    num, den = ratio(cols, lambda *p: l2_distance_sq_many(kernel, *p), w2_squared_many)
+    # from mu about 1e154 on, W2^2 and the crucial denominator overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        num, den = ratio(cols, lambda *p: l2_distance_sq_many(kernel, *p), w2_squared_many)
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise ValueError(f"{check_name}: the surface is not finite at mu_range = {mu_range!r}; reduce mu_range")
     zero = np.flatnonzero(den == 0.0)
     if zero.size:
         pair = tuple(c[zero[0]].item() for c in cols)

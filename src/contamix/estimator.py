@@ -21,7 +21,9 @@ points k h, h = 1/sqrt(n), 1 <= |k| <= k_max, so ``estimate`` does not fill
 the O(n q) table.  Each sample within a cutoff T of some mu level is binned
 to its nearest lattice point, x = b h + r with |b| <= K = k_max +
 ceil(T sqrt(n)) + 1 and |r| <= h/2, so the bin array has a fixed size
-whatever the data.  A family's lattice spec (``_LatticeSpec``) writes each
+whatever the data.  The other samples are summed directly, so T enters eps
+only through K: it trades FFT length against direct-sum work and sets only
+the cost.  A family's lattice spec (``_LatticeSpec``) writes each
 binned sample's term as a sum over p < P of a weight w_p(r) times a table
 E_p((k - b) h), so with per-bin moments A_p[b] = sum w_p(r) (one
 ``np.bincount`` each) the sums become S(k h) = sum_p sum_b A_p[b] E_p((k -
@@ -48,19 +50,21 @@ max_j |S~_j - S_j|, where S_j is the value ``precompute`` computes (u =
 
 and its own terms:
 
-* Gaussian (P = 8, T = 12): E_p = He_p phi.  By Cramer's bound |He_P(t)|
+* Gaussian (P = 8, T = 8): E_p = He_p phi.  By Cramer's bound |He_P(t)|
   e^{-t^2/4} <= 1.086435 sqrt(P!), D_P = 1.086435 sqrt(P! / (2 pi)).
-* Laplace (exact, T = 40): for b != k, exp(-|x - k h|) = exp(-|b - k| h)
+* Laplace (exact, T = 12): for b != k, exp(-|x - k h|) = exp(-|b - k| h)
   exp(-+r), so the weights are e^-r, e^r and e^-|r| against the one-sided
   tables e^{-|t|}/2 for t < 0 and t > 0 and the b = k term.  There is no
   remainder: D_P = 0.
-* Cauchy (P = 10, T = 30): phi^(p)(t) = (-1)^p p! Im[(t - i)^-(p+1)] / pi,
+* Cauchy (P = 10, T = 20): phi^(p)(t) = (-1)^p p! Im[(t - i)^-(p+1)] / pi,
   so D_P = P!/pi.
 * Skew-Gaussian (P = 12, T = 12): phi = 2 psi Psi(alpha .), by Leibniz on
   psi^(j) = (-1)^j He_j psi and d^k Psi(alpha t) = alpha^k psi^(k-1)(alpha
   t), both from one Hermite recurrence; the tables are taken at -t, since
   the kernel is not symmetric.  D_P is the sum of Cramer's bounds on the
-  Leibniz terms.  A loose eps only recomputes more columns.
+  Leibniz terms.  A loose eps only recomputes more columns.  T is 12
+  here because the tail term of the bound e below needs the table to reach
+  |t| >= 11.
 
 Inner products on the lattice.  A 1-d grid's lattice plan (``_LatticePlan``,
 memoised per kernel, n and k_max) holds the family's spec, the spectra of
@@ -137,6 +141,7 @@ pi)^(d/2)) absolute, and c' = d + 6 covers exp and the constant (2 pi)^(d/2).
 from collections.abc import Callable
 from dataclasses import dataclass
 import math
+import threading
 
 import numpy as np
 from scipy.special import erfc
@@ -429,10 +434,12 @@ def _taylor_spec(kernel: Kernel, order: int, **terms) -> _LatticeSpec:
     factorials = np.array([math.factorial(p) for p in orders], dtype=float)
 
     def weights(r):
+        # in place: each weight is used up before the next is made
         term = np.ones_like(r)
         yield term
         for p in range(1, order):
-            term = term * r / p
+            term *= r
+            term /= p
             yield term
 
     return _LatticeSpec(
@@ -561,7 +568,7 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
 _GAUSS_SPEC = _taylor_spec(
     _GAUSS,
     _GAUSS_ORDER,
-    far=12.0,
+    far=8.0,
     lip=0.25,
     eval_abs=0.5,
     eval_rel=6,
@@ -571,7 +578,7 @@ _GAUSS_SPEC = _taylor_spec(
 
 _LAPLACE_SPEC = _LatticeSpec(
     kernel=Kernel("laplace"),
-    far=40.0,
+    far=12.0,
     lip=0.5,
     eval_abs=0.5,
     eval_rel=6,
@@ -585,7 +592,7 @@ _LAPLACE_SPEC = _LatticeSpec(
 _CAUCHY_SPEC = _taylor_spec(
     Kernel("cauchy"),
     _CAUCHY_ORDER,
-    far=30.0,
+    far=20.0,
     lip=0.25,
     eval_abs=0.5,
     eval_rel=8,
@@ -620,6 +627,22 @@ class _LatticePlan:
 _LATTICE_PLANS: dict[tuple, _LatticePlan] = {}
 
 
+# Each thread keeps the moment and spectrum arrays of its last (P, L), until
+# it builds a plan: fresh arrays of that size (256 KB each at n = 5000) are
+# mmap-ed and page-faulted on every transform.
+_TRANSFORM_BUFFERS = threading.local()
+
+
+def _transform_buffers(order: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's (P, L) moment array, zero-filled, and (P, L/2 + 1) spectrum array."""
+    kept = getattr(_TRANSFORM_BUFFERS, "arrays", None)
+    if kept is None or kept[0].shape != (order, size):
+        kept = (np.empty((order, size)), np.empty((order, size // 2 + 1), dtype=complex))
+        _TRANSFORM_BUFFERS.arrays = kept
+    kept[0].fill(0.0)
+    return kept
+
+
 def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
     spec = _skew_spec(kernel) if kernel.family == "skew_gaussian" else _SPECS[kernel.family]
     k_max = grid.mu_levels.shape[0] // 2
@@ -628,6 +651,9 @@ def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
     bins = k_max + math.ceil(spec.far * root) + 1
     half = bins + k_max  # table offsets m = -half..half cover every (b, k) pair
     size = 1 << (2 * half).bit_length()
+    # the plan's temporaries set a study's peak memory: first drop this
+    # thread's kept transform arrays, sized for the last plan
+    _TRANSFORM_BUFFERS.arrays = None
     t = np.arange(-half, half + 1) * h
     tables, table_err = spec.tables(t)
     padded = np.zeros((tables.shape[0], size))
@@ -669,38 +695,54 @@ def _grid_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
     return memo(_LATTICE_PLANS, (kernel, grid.n, k_max), lambda: _lattice_plan(kernel, grid), 4)
 
 
+def _bin_moments(plan: _LatticePlan, near: np.ndarray, moments: np.ndarray) -> float:
+    """Bin each sample x of ``near`` to x = b h + r, b = rint(x sqrt(n)), write
+    the moments A_p[b] = sum w_p(r) into ``moments`` and return max |r|.
+
+    ``near`` becomes r in place: its n-sized temporaries, which end here,
+    would otherwise outgrow the kept arrays.
+    """
+    b = near * plan.root
+    np.rint(b, out=b)
+    idx = b.astype(np.intp)
+    idx += plan.bins
+    b *= plan.h
+    r = near
+    r -= b
+    del b
+    r_max = float(np.max(np.abs(r))) if r.size else 0.0
+    count = 2 * plan.bins + 1
+    for p, w in enumerate(plan.spec.weights(r)):
+        moments[p, :count] = np.bincount(idx, weights=w, minlength=count)
+    return r_max
+
+
 def _lattice_shift_sums(plan: _LatticePlan, grid: Grid, data: np.ndarray) -> tuple[np.ndarray, float]:
     """Shift sums on a 1-d grid by the lattice transform of its ``plan``.
 
     Returns (sums, eps) with eps >= max_j |sums_j - S_j| for the sums S that
     ``precompute`` computes; the module docstring derives each term.  eps is
-    inf when the transform gives a non-finite sum.
+    inf when the transform gives a non-finite sum.  The transform works in
+    the kept arrays of ``_transform_buffers``.
     """
     n = data.shape[0]
     k_max = grid.mu_levels.shape[0] // 2
     spec = plan.spec
     bins = plan.bins
     is_near = np.abs(data) <= bins * plan.h
-    near = data[is_near]
-    b = np.rint(near * plan.root)
-    r = near - b * plan.h
-    idx = (b + bins).astype(np.intp)
+    m = int(np.count_nonzero(is_near))
     order = plan.spectra.shape[0]
-    moments = np.zeros((order, plan.size))
-    for p, w in enumerate(spec.weights(r)):
-        moments[p, : 2 * bins + 1] = np.bincount(idx, weights=w, minlength=2 * bins + 1)
-    spectrum = np.fft.rfft(moments, axis=1)
+    moments, spectrum = _transform_buffers(order, plan.size)
+    r_max = _bin_moments(plan, data[is_near], moments)
+    np.fft.rfft(moments, axis=1, out=spectrum)
     spectrum *= plan.spectra
-    spectrum = np.sum(spectrum, axis=0)
     # the k-th level's sum sits at offset 2K + k_max + k of the convolution;
     # k = 0 is not a mu level
-    conv = np.fft.irfft(spectrum, plan.size)[2 * bins : 2 * bins + 2 * k_max + 1]
+    conv = np.fft.irfft(np.sum(spectrum, axis=0), plan.size)[2 * bins : 2 * bins + 2 * k_max + 1]
     sums = np.delete(conv, k_max)
 
-    m = near.shape[0]
-    r_max = float(np.max(np.abs(r))) if m else 0.0
     l1 = spec.weight_l1(m, r_max)  # >= ||A_p||_1
-    l2 = np.sqrt(np.sum(np.square(moments), axis=1))
+    l2 = np.sqrt(np.einsum("ij,ij->i", moments, moments))
     # truncation; far samples; offset rounding; moment and table rounding;
     # FFT round-off; then the direct sum's own rounding
     eps = m * spec.sup_deriv * r_max ** order / math.factorial(order)

@@ -233,6 +233,14 @@ def test_pair_scans_refuse_a_zero_denominator(check, scan):
         scan(GAUSS, 2, 1e-300, 2, mu_min=1e-310)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("check, scan", PAIR_SCANS)
+def test_pair_scans_refuse_an_overflowing_surface(check, scan):
+    # W2^2 and the crucial denominator overflow from mu about 1e154 on
+    with pytest.raises(ValueError, match=rf"^{check}: the surface is not finite at mu_range = 1e\+200"):
+        scan(GAUSS, 2, 1e200, 2, mu_min=1e199)
+
+
 def test_crucial_scan_memory_stays_a_small_multiple_of_the_surface():
     # 20 x 30 grid points: 359 400 ordered pairs, a 14.4 MB surface; the pair
     # columns, their canonical order and the inner products peak at about 3.2

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from contamix import estimator, kernels
 from contamix.estimator import (
@@ -688,6 +690,140 @@ class TestSkewLatticeInner:
         estimate(SKEW, data, 10.0)
         # ||phi||^2 and the candidate columns, out of 1788 mu levels
         assert len(levels) <= 8
+
+
+# Each family's cutoff T and a wider one, at which the samples of the band
+# between them would be binned rather than summed directly
+CUTOFFS = {"gaussian": (8.0, 12.0), "laplace": (12.0, 40.0), "cauchy": (20.0, 30.0), "skew_gaussian": (12.0, 12.0)}
+
+
+def longdouble_pdf(kernel, x):
+    """The kernel's density at long-double x, in long double; the skew factor
+    Psi(alpha x) is ``ndtr``'s double, within a few u relative."""
+    one = np.longdouble(1.0)
+    pi = 4.0 * np.arctan(one)
+    if kernel.family == "laplace":
+        return np.exp(-np.abs(x)) / 2.0
+    if kernel.family == "cauchy":
+        return one / (pi * (one + x * x))
+    psi = np.exp(-x * x / 2.0) / np.sqrt(2.0 * pi)
+    if kernel.family == "gaussian":
+        return psi
+    return 2.0 * psi * ndtr(kernel.alpha * x.astype(float))
+
+
+class TestCutoffs:
+    """The cutoff T only splits the samples between the lattice and the
+    direct sum: samples across T, up to a wider cutoff and far beyond it give
+    the exact scan and sums within eps of a long-double reference."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+    @pytest.mark.parametrize("kernel", [GAUSS] + NON_GAUSSIAN, ids=family)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(64, 1500),
+        M=st.floats(1.0, 4.0),
+        lam=st.floats(0.01, 0.99),
+        band=st.lists(st.floats(-1.0, 1.0), max_size=40),
+        beyond=st.lists(st.floats(-1.0, 1.0), max_size=10),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(n=1500, M=4.0, lam=0.3, band=[-1.0, -0.5, 0.0, 0.25, 0.5, 1.0] * 5, beyond=[-1.0, 0.5, 1.0], seed=3)
+    def test_samples_across_the_cutoff(self, kernel, n, M, lam, band, beyond, seed):
+        cut, wide = CUTOFFS[kernel.family]
+        grid = build_grid(n, M, 1)
+        assert estimator._grid_plan(kernel, grid).spec.far == cut
+        mu_max = float(grid.mu_levels[-1])
+        # |x| from T - 2 to the wider cutoff + 2 past the last level, and up to 100 beyond that
+        edge = [math.copysign(mu_max + cut - 2.0 + abs(u) * (wide - cut + 4.0), u) for u in band]
+        far = [math.copysign(mu_max + wide + 2.0 + 100.0 * abs(u), u) for u in beyond]
+        data = sample_mixture(kernel, MixtureParams(lam, 0.5 * M), n, seed=seed)
+        data[: len(edge) + len(far)] = edge + far
+        assert_lattice_scan_exact(data, M, kernel)
+        sums, eps = estimator._approximate(kernel, grid, data)[:2]
+        x = data.astype(np.longdouble)
+        exact = np.concatenate([
+            np.sum(longdouble_pdf(kernel, x[None] - mu[:, None]), axis=1)
+            for mu in np.array_split(grid.mu_levels.astype(np.longdouble), 16)
+        ])
+        assert np.max(np.abs(sums - exact)) <= eps
+
+
+def lattice_results(jobs):
+    """(sums bytes, eps, lambda_index, mu_index, contrast bits) of each
+    (kernel, n) job: lattice sums and an estimate at M = 10."""
+    out = []
+    for kernel, n in jobs:
+        data = sample_mixture(kernel, MixtureParams(0.3, 1.5), n, seed=n)
+        grid = build_grid(n, 10.0, 1)
+        sums, eps = estimator._lattice_shift_sums(estimator._grid_plan(kernel, grid), grid, data)
+        res = estimate(kernel, data, 10.0)
+        out.append((sums.tobytes(), eps, res.lambda_index, res.mu_index, np.float64(res.contrast_value).tobytes()))
+    return out
+
+
+def on_fresh_thread(fn, *args):
+    out = []
+    t = threading.Thread(target=lambda: out.append(fn(*args)))
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    return out[0]
+
+
+class TestTransformBuffers:
+    """The transform's kept per-thread arrays change no result."""
+
+    def test_same_length_other_bins(self):
+        # both L = 4096, with K = 1261 and 1274: a moment array left dirty by
+        # the wider n would leak into the narrower
+        assert estimator._grid_plan(GAUSS, build_grid(4900, 10.0, 1)).size == 4096
+        assert estimator._grid_plan(GAUSS, build_grid(5000, 10.0, 1)).size == 4096
+        jobs = [(GAUSS, 4900), (GAUSS, 5000), (GAUSS, 4900)]
+        back_to_back = on_fresh_thread(lattice_results, jobs)
+        fresh = [on_fresh_thread(lattice_results, [job])[0] for job in jobs]
+        assert back_to_back == fresh
+
+    def test_concurrent_threads_give_the_serial_results(self):
+        # the threads meet on one (P, L) = (8, 4096) and switch often
+        jobs = [
+            [(GAUSS, 4900), (Kernel("laplace"), 2000), (GAUSS, 5000)],
+            [(GAUSS, 5000), (Kernel("cauchy"), 500), (GAUSS, 4900)],
+        ]
+        serial = [on_fresh_thread(lattice_results, j * 4) for j in jobs]
+        barrier = threading.Barrier(len(jobs))
+        got = [None] * len(jobs)
+
+        def worker(i):
+            barrier.wait()
+            got[i] = lattice_results(jobs[i] * 4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial
+
+    def test_warm_transform_allocates_less_than_its_moments(self):
+        data = sample_mixture(GAUSS, MixtureParams(0.25, 2.0), 5000, seed=8)
+        grid = build_grid(5000, 10.0, 1)
+        plan = estimator._grid_plan(GAUSS, grid)
+        estimator._lattice_shift_sums(plan, grid, data)
+        tracemalloc.start()
+        try:
+            estimator._lattice_shift_sums(plan, grid, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        moments = plan.spectra.shape[0] * plan.size * 8  # 256 KB
+        assert peak < 0.75 * moments
 
 
 @pytest.mark.slow
