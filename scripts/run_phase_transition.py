@@ -3,7 +3,7 @@
 
 Defaults to the bundled desk-scale config; point --config at
 configs/fig1_full.config for the full protocol (n = 5000, 1000 replicates
-per nu; 27-31 s with --workers 2 in three runs on a shared two-core host
+per nu; 35-37 s with --workers 2 in three runs on a shared two-core host
 with Python 3.11.7, numpy 2.4.6).
 """
 

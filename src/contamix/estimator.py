@@ -141,7 +141,6 @@ pi)^(d/2)) absolute, and c' = d + 6 covers exp and the constant (2 pi)^(d/2).
 from collections.abc import Callable
 from dataclasses import dataclass
 import math
-import threading
 
 import numpy as np
 from scipy.special import erfc
@@ -434,12 +433,10 @@ def _taylor_spec(kernel: Kernel, order: int, **terms) -> _LatticeSpec:
     factorials = np.array([math.factorial(p) for p in orders], dtype=float)
 
     def weights(r):
-        # in place: each weight is used up before the next is made
         term = np.ones_like(r)
         yield term
         for p in range(1, order):
-            term *= r
-            term /= p
+            term = term * r / p
             yield term
 
     return _LatticeSpec(
@@ -627,22 +624,6 @@ class _LatticePlan:
 _LATTICE_PLANS: dict[tuple, _LatticePlan] = {}
 
 
-# Each thread keeps the moment and spectrum arrays of its last (P, L), until
-# it builds a plan: fresh arrays of that size (256 KB each at n = 5000) are
-# mmap-ed and page-faulted on every transform.
-_TRANSFORM_BUFFERS = threading.local()
-
-
-def _transform_buffers(order: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's (P, L) moment array, zero-filled, and (P, L/2 + 1) spectrum array."""
-    kept = getattr(_TRANSFORM_BUFFERS, "arrays", None)
-    if kept is None or kept[0].shape != (order, size):
-        kept = (np.empty((order, size)), np.empty((order, size // 2 + 1), dtype=complex))
-        _TRANSFORM_BUFFERS.arrays = kept
-    kept[0].fill(0.0)
-    return kept
-
-
 def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
     spec = _skew_spec(kernel) if kernel.family == "skew_gaussian" else _SPECS[kernel.family]
     k_max = grid.mu_levels.shape[0] // 2
@@ -651,9 +632,6 @@ def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
     bins = k_max + math.ceil(spec.far * root) + 1
     half = bins + k_max  # table offsets m = -half..half cover every (b, k) pair
     size = 1 << (2 * half).bit_length()
-    # the plan's temporaries set a study's peak memory: first drop this
-    # thread's kept transform arrays, sized for the last plan
-    _TRANSFORM_BUFFERS.arrays = None
     t = np.arange(-half, half + 1) * h
     tables, table_err = spec.tables(t)
     padded = np.zeros((tables.shape[0], size))
@@ -695,54 +673,38 @@ def _grid_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
     return memo(_LATTICE_PLANS, (kernel, grid.n, k_max), lambda: _lattice_plan(kernel, grid), 4)
 
 
-def _bin_moments(plan: _LatticePlan, near: np.ndarray, moments: np.ndarray) -> float:
-    """Bin each sample x of ``near`` to x = b h + r, b = rint(x sqrt(n)), write
-    the moments A_p[b] = sum w_p(r) into ``moments`` and return max |r|.
-
-    ``near`` becomes r in place: its n-sized temporaries, which end here,
-    would otherwise outgrow the kept arrays.
-    """
-    b = near * plan.root
-    np.rint(b, out=b)
-    idx = b.astype(np.intp)
-    idx += plan.bins
-    b *= plan.h
-    r = near
-    r -= b
-    del b
-    r_max = float(np.max(np.abs(r))) if r.size else 0.0
-    count = 2 * plan.bins + 1
-    for p, w in enumerate(plan.spec.weights(r)):
-        moments[p, :count] = np.bincount(idx, weights=w, minlength=count)
-    return r_max
-
-
 def _lattice_shift_sums(plan: _LatticePlan, grid: Grid, data: np.ndarray) -> tuple[np.ndarray, float]:
     """Shift sums on a 1-d grid by the lattice transform of its ``plan``.
 
     Returns (sums, eps) with eps >= max_j |sums_j - S_j| for the sums S that
     ``precompute`` computes; the module docstring derives each term.  eps is
-    inf when the transform gives a non-finite sum.  The transform works in
-    the kept arrays of ``_transform_buffers``.
+    inf when the transform gives a non-finite sum.
     """
     n = data.shape[0]
     k_max = grid.mu_levels.shape[0] // 2
     spec = plan.spec
     bins = plan.bins
     is_near = np.abs(data) <= bins * plan.h
-    m = int(np.count_nonzero(is_near))
+    near = data[is_near]
+    b = np.rint(near * plan.root)
+    r = near - b * plan.h
+    idx = (b + bins).astype(np.intp)
     order = plan.spectra.shape[0]
-    moments, spectrum = _transform_buffers(order, plan.size)
-    r_max = _bin_moments(plan, data[is_near], moments)
-    np.fft.rfft(moments, axis=1, out=spectrum)
+    moments = np.zeros((order, plan.size))
+    for p, w in enumerate(spec.weights(r)):
+        moments[p, : 2 * bins + 1] = np.bincount(idx, weights=w, minlength=2 * bins + 1)
+    spectrum = np.fft.rfft(moments, axis=1)
     spectrum *= plan.spectra
+    spectrum = np.sum(spectrum, axis=0)
     # the k-th level's sum sits at offset 2K + k_max + k of the convolution;
     # k = 0 is not a mu level
-    conv = np.fft.irfft(np.sum(spectrum, axis=0), plan.size)[2 * bins : 2 * bins + 2 * k_max + 1]
+    conv = np.fft.irfft(spectrum, plan.size)[2 * bins : 2 * bins + 2 * k_max + 1]
     sums = np.delete(conv, k_max)
 
+    m = near.shape[0]
+    r_max = float(np.max(np.abs(r))) if m else 0.0
     l1 = spec.weight_l1(m, r_max)  # >= ||A_p||_1
-    l2 = np.sqrt(np.einsum("ij,ij->i", moments, moments))
+    l2 = np.sqrt(np.sum(np.square(moments), axis=1))
     # truncation; far samples; offset rounding; moment and table rounding;
     # FFT round-off; then the direct sum's own rounding
     eps = m * spec.sup_deriv * r_max ** order / math.factorial(order)

@@ -771,12 +771,12 @@ def on_fresh_thread(fn, *args):
     return out[0]
 
 
-class TestTransformBuffers:
-    """The transform's kept per-thread arrays change no result."""
+class TestTransformState:
+    """No state kept between transforms, or shared by threads, changes a result."""
 
     def test_same_length_other_bins(self):
-        # both L = 4096, with K = 1261 and 1274: a moment array left dirty by
-        # the wider n would leak into the narrower
+        # both L = 4096, with K = 1261 and 1274: a plan or array kept from
+        # one n would mix its bins into the other's
         assert estimator._grid_plan(GAUSS, build_grid(4900, 10.0, 1)).size == 4096
         assert estimator._grid_plan(GAUSS, build_grid(5000, 10.0, 1)).size == 4096
         jobs = [(GAUSS, 4900), (GAUSS, 5000), (GAUSS, 4900)]
@@ -810,20 +810,6 @@ class TestTransformBuffers:
         finally:
             sys.setswitchinterval(interval)
         assert got == serial
-
-    def test_warm_transform_allocates_less_than_its_moments(self):
-        data = sample_mixture(GAUSS, MixtureParams(0.25, 2.0), 5000, seed=8)
-        grid = build_grid(5000, 10.0, 1)
-        plan = estimator._grid_plan(GAUSS, grid)
-        estimator._lattice_shift_sums(plan, grid, data)
-        tracemalloc.start()
-        try:
-            estimator._lattice_shift_sums(plan, grid, data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        moments = plan.spectra.shape[0] * plan.size * 8  # 256 KB
-        assert peak < 0.75 * moments
 
 
 @pytest.mark.slow
