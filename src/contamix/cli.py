@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import certify as certify_mod
-from .estimator import build_grid, estimate
+from .estimator import estimate, grid_levels
 from .kernels import FAMILIES, Kernel, cross_inner
 from .metrics import w1, w2_squared
 from .mixture import MixtureParams
@@ -99,7 +99,7 @@ def _cmd_estimate(args) -> int:
     kernel = _build_kernel(args)
     data = _read_data(args.data, kernel.dim)
     try:
-        grid = build_grid(len(data), args.bound_m, kernel.dim)
+        lambda_levels, _, mu_levels = grid_levels(len(data), args.bound_m, kernel.dim)
         result = estimate(kernel, data, args.bound_m)
     except ValueError as exc:  # grid overflow, n too small
         raise _DataError(str(exc)) from exc
@@ -107,8 +107,8 @@ def _cmd_estimate(args) -> int:
     print("mu_hat=" + ",".join(_fmt(float(v)) for v in result.mu_hat))
     print(f"contrast_value={_fmt(result.contrast_value)}")
     print(f"n={len(data)}")
-    print(f"lambda_levels={grid.lambda_levels.shape[0]}")
-    print(f"mu_levels={grid.mu_levels.shape[0]}")
+    print(f"lambda_levels={lambda_levels}")
+    print(f"mu_levels={mu_levels}")
     return EXIT_OK
 
 
@@ -176,9 +176,9 @@ def _cmd_certify(args) -> int:
     for key, val in report.details.items():
         print(f"{key}={_fmt(val)}")
     if args.out:
-        # row by row: tolist() of a whole pair-scan surface adds about 2 MB to peak RSS
-        rows = (row.tolist() for row in report.surface)
-        write_csv(args.out, "surface", report.surface_columns, rows)
+        # write_csv formats the array in blocks of rows: a whole-surface
+        # tolist() adds about 2 MB to peak RSS
+        write_csv(args.out, "surface", report.surface_columns, report.surface)
         print(f"surface={args.out}")
     return EXIT_OK if report.passed else EXIT_CERTIFY
 

@@ -22,8 +22,10 @@ in dimension 1, a vector of shape (d,) in d > 1.
 """
 
 from dataclasses import dataclass
+import bisect
 import functools
 import math
+import operator
 import threading
 
 import numpy as np
@@ -101,18 +103,59 @@ def pdf_many(kernel: Kernel, x) -> np.ndarray:
     return _skew_pdf(kernel.alpha, x, np.empty(x.shape), np.empty(x.shape))[()]
 
 
-def _skew_pdf(alpha: float, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+# erfc's saturated ends in float64: see ``_skew_pdf``.
+ERFC_TWO_BELOW = -6.0
+ERFC_ZERO_ABOVE = 27.5
+
+
+def _skew_pdf(
+    alpha: float, x: np.ndarray, out: np.ndarray, tmp: np.ndarray, ascending: bool = False
+) -> np.ndarray:
     """The skew-Gaussian density 2 psi(x) Psi(alpha x), Psi via erfc, written
-    into ``out``, which may be ``x``; ``tmp`` is scratch of the same shape."""
-    np.multiply(x, -alpha, out=tmp)
-    tmp /= _SQRT_2
-    erfc(tmp, out=tmp)
-    np.square(x, out=out)
+    into ``out``, which may be ``x``; ``tmp`` is scratch of the same shape.
+
+    erfc(t) is exactly 2.0 for t < -6 (erfc(6) < 2^-53, so 2 - erfc(6) rounds
+    to 2) and exactly 0.0 for t > 27.5 (erfc(27.5) is under half the least
+    subnormal); scipy 1.17.1 saturates from about -5.864 and 26.642.  With
+    ``ascending`` (a sorted nonempty 1-d ``x``) the erfc arguments are
+    monotone, so those entries form two blocks at the ends: they are filled
+    directly and erfc runs on the slice between.  Overflow of alpha x or x^2
+    to +-inf gives the density's limit 0, so it is not reported.
+    """
+    with np.errstate(over="ignore"):
+        np.multiply(x, -alpha, out=tmp)
+        tmp /= _SQRT_2
+        if ascending:
+            _erfc_monotone(tmp)
+        else:
+            erfc(tmp, out=tmp)
+        np.square(x, out=out)
     out *= -0.5
     np.exp(out, out=out)
     out /= _SQRT_2PI
     out *= tmp
     return out
+
+
+def _erfc_monotone(t: np.ndarray) -> None:
+    """erfc of a nonempty monotone 1-d array, in place, calling erfc only
+    between the saturated blocks that two binary searches find; erfc of all
+    of ``t`` when an end is not finite."""
+    if not (math.isfinite(t[0]) and math.isfinite(t[-1])):
+        erfc(t, out=t)
+        return
+    if t[0] <= t[-1]:
+        lo = bisect.bisect_left(t, ERFC_TWO_BELOW)
+        hi = bisect.bisect_right(t, ERFC_ZERO_ABOVE, lo)
+        t[:lo] = 2.0
+        t[hi:] = 0.0
+    else:  # -t ascends
+        lo = bisect.bisect_left(t, -ERFC_ZERO_ABOVE, key=operator.neg)
+        hi = bisect.bisect_right(t, -ERFC_TWO_BELOW, lo, key=operator.neg)
+        t[:lo] = 0.0
+        t[hi:] = 2.0
+    middle = t[lo:hi]
+    erfc(middle, out=middle)
 
 
 def as_point(kernel: Kernel, x):
@@ -181,9 +224,9 @@ def _skew_cross_quadrature(kernel: Kernel, mu: float) -> float:
         np.multiply(nodes, h, out=xs)
         xs += lo
         xs[-1] = hi
-        _skew_pdf(kernel.alpha, xs, vals, tmp)
+        _skew_pdf(kernel.alpha, xs, vals, tmp, ascending=True)
         xs -= mu
-        vals *= _skew_pdf(kernel.alpha, xs, xs, tmp)
+        vals *= _skew_pdf(kernel.alpha, xs, xs, tmp, ascending=True)
         k = (SIMPSON_PANELS + 2) // 2  # OpenBLAS's first of two shares
         return float((np.dot(weights[:k], vals[:k]) + np.dot(weights[k:], vals[k:])) * (h / 3.0))
 

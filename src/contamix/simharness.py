@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .estimator import build_grid, estimate
+from .estimator import build_grid, estimate, grid_levels
 from .kernels import Kernel, mc_inner, memo
 from .mixture import MixtureParams, sample_mixture
 
@@ -96,7 +96,7 @@ class ExperimentConfig:
                 )
         for n in sorted({n for _, _, n in self.cells()}):
             try:
-                build_grid(n, self.M, 1)
+                grid_levels(n, self.M, 1)
             except ValueError as exc:
                 raise ConfigError(f"no estimation grid for n={n}: {exc}") from None
         for _, nu, n in self.cells():
@@ -283,14 +283,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Rows per block when ``write_csv`` formats a float array: each block holds
+# its rows' text at once, so memory stays bounded for any surface.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _format_block(block: np.ndarray) -> str:
+    """CSV lines of a 2-d float block, each value by ``str`` as a Python float.
+
+    Each column calls ``str`` once per distinct value, told apart by its bits
+    (so -0.0 and 0.0 stay apart); a column of distinct values is formatted in
+    row order.
+    """
+    columns = []
+    for col in block.T:
+        keys, where = np.unique(col.view(np.int64), return_inverse=True)
+        if keys.size == col.size:
+            columns.append(list(map(str, col.tolist())))
+        else:
+            text = np.array(list(map(str, keys.view(np.float64).tolist())), dtype=object)
+            columns.append(text[where].tolist())
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
 def write_csv(path, kind: str, header, rows) -> None:
-    """Write a header and rows of Python floats and ints, each by ``str`` (the
-    shortest round-trip decimal); an OSError names ``kind`` and the path."""
+    """Write a header and rows, each value by ``str`` (the shortest round-trip
+    decimal of a float); an OSError names ``kind`` and the path.
+
+    ``rows`` is an iterable of rows of Python floats and ints, or a 2-d
+    float64 array, which is formatted in blocks of ``_CSV_BLOCK_ROWS`` rows.
+    """
     try:
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(map(str, row)) + "\n")
+            if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+                starts = range(0, rows.shape[0], _CSV_BLOCK_ROWS)
+                fh.writelines(_format_block(rows[s:s + _CSV_BLOCK_ROWS]) for s in starts)
+            else:
+                fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
     except OSError as exc:
         raise OSError(f"cannot write {kind} CSV {path}: {exc}") from exc
 
@@ -352,10 +382,11 @@ def load_config(path) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file (lists are comma-separated).
 
     The recognized keys are those of ``_CONFIG_KEYS``; alpha is for
-    skew_gaussian only.  Missing or unknown keys raise ConfigError naming the
-    key; absent optional keys take the ExperimentConfig defaults.
+    skew_gaussian only.  Missing, unknown or repeated keys raise ConfigError
+    naming the key; absent optional keys take the ExperimentConfig defaults.
     """
     entries: dict = {}
+    lines_of: dict = {}
     try:
         lines = open(path).read().splitlines()
     except OSError as exc:
@@ -369,6 +400,9 @@ def load_config(path) -> ExperimentConfig:
         key, _, value = body.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in lines_of:
+            raise ConfigError(f"{path}:{ln}: config key {key!r} is already set on line {lines_of[key]}")
+        lines_of[key] = ln
         if "," in value:
             entries[key] = tuple(_parse_scalar(v.strip()) for v in value.split(","))
         else:

@@ -282,6 +282,18 @@ class TestSimulate:
         assert "outside [-M, M]" in err and "Traceback" not in err and out == ""
         assert not out_csv.exists()
 
+    def test_key_set_twice_is_config_error(self, tmp_path):
+        p = tmp_path / "twice.config"
+        p.write_text(
+            "kernel = gaussian\nn = 100\nlambda_star = 0.25\nnu_values = 0.5\nM = 3\n"
+            "replicates = 2\nmaster_seed = 1\nmode = phase_transition\nn = 200\n"
+        )
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli("simulate", "--config", str(p), "--out", str(out_csv))
+        assert code == 2
+        assert "'n'" in err and "line 2" in err and ":9:" in err and "Traceback" not in err
+        assert out == "" and not out_csv.exists()
+
     def test_fractional_integer_key_is_config_error(self, tmp_path):
         p = tmp_path / "frac.config"
         p.write_text(
@@ -341,6 +353,22 @@ class TestDim2Estimate:
         kv = parse_kv(out)
         res = estimate(k2, data, 1.0)
         assert [float(v) for v in kv["mu_hat"].split(",")] == list(res.mu_hat)
+
+    def test_level_counts_without_a_second_grid(self, tmp_path, monkeypatch, capsys):
+        from contamix import cli, estimator
+
+        data = sample_mixture(Kernel("gaussian", dim=2), MixtureParams(0.5, [1.0, -1.0]), 36, seed=9)
+        p = tmp_path / "d2.csv"
+        p.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in data))
+        grids = []
+        build = estimator.build_grid
+        monkeypatch.setattr(estimator, "build_grid", lambda *a: grids.append(a) or build(*a))
+        assert cli.main(["estimate", "--kernel", "gaussian", "--dim", "2", "--data", str(p), "--bound-m", "1"]) == 0
+        kv = parse_kv(capsys.readouterr().out)
+        assert grids == [(36, 1.0, 2)]  # estimate's own grid
+        grid = build(36, 1.0, 2)
+        assert int(kv["lambda_levels"]) == grid.lambda_levels.shape[0] == 6
+        assert int(kv["mu_levels"]) == grid.mu_levels.shape[0] == 144
 
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -84,6 +84,24 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(10 ** 6, 10.0, 3)
 
+    @pytest.mark.parametrize(
+        "n, M, d", [(4, 1.0, 1), (100, 2.0, 1), (5000, 10.0, 1), (123, 3.0, 1), (16, 1.0, 2), (36, 1.0, 3)]
+    )
+    def test_levels_are_the_grid_counts(self, n, M, d):
+        p, k_max, q = estimator.grid_levels(n, M, d)
+        g = build_grid(n, M, d)
+        assert (p, q) == (g.lambda_levels.shape[0], g.mu_levels.shape[0])
+        axis = g.mu_levels if d == 1 else np.unique(g.mu_levels[:, 0])
+        assert k_max == np.sum(axis > 0)
+
+    @pytest.mark.parametrize("n, M, d", [(3, 1.0, 1), (4, 0.0, 1), (4, math.inf, 1), (4, 1.0, 0), (4, 0.4, 1), (4, 1e8, 1)])
+    def test_levels_refuse_as_the_grid_does(self, n, M, d):
+        with pytest.raises(ValueError) as levels_err:
+            estimator.grid_levels(n, M, d)
+        with pytest.raises(ValueError) as grid_err:
+            build_grid(n, M, d)
+        assert str(levels_err.value) == str(grid_err.value)
+
     def test_mu_level_bound_before_allocation(self):
         # 4e8 mu levels on 8e8 grid points, under the point bound
         tracemalloc.start()

@@ -5,6 +5,8 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -380,3 +382,117 @@ class TestQuadratureDefaults:
         finally:
             tracemalloc.stop()
         assert peak < 8 * (kernels.SIMPSON_PANELS + 1) // 4  # under a quarter of one node array
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestErfcSaturation:
+    """The skew pdf of a sorted array sets erfc's saturated ends without
+    calling erfc; its bits must equal the plain erfc evaluation's."""
+
+    def test_erfc_is_exactly_two_and_zero_past_the_thresholds(self):
+        # a dense sweep next to each threshold, then out to the float range
+        low = np.concatenate([
+            -6.0 - np.arange(1, 400_001) * 1e-5,
+            -np.geomspace(10.0, 1e308, 2000),
+            [np.nextafter(kernels.ERFC_TWO_BELOW, -np.inf), -np.inf],
+        ])
+        high = np.concatenate([
+            27.5 + np.arange(1, 400_001) * 1e-5,
+            np.geomspace(32.0, 1e308, 2000),
+            [np.nextafter(kernels.ERFC_ZERO_ABOVE, np.inf), np.inf],
+        ])
+        assert np.all(low < kernels.ERFC_TWO_BELOW) and np.all(high > kernels.ERFC_ZERO_ABOVE)
+        assert np.all(_bits(erfc(low)) == _bits(2.0))
+        assert np.all(_bits(erfc(high)) == _bits(0.0))  # +0.0, not -0.0
+
+    SHIFTS = st.one_of(
+        st.floats(-40.0, 40.0),
+        st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+    )
+    ALPHAS = st.sampled_from([10.0, -10.0, 0.5, -0.5, 1e3, -1e3, 1e-3])
+
+    @settings(max_examples=80, deadline=None)
+    @given(alpha=ALPHAS, mu=SHIFTS)
+    def test_rule_has_the_plain_erfc_bits(self, alpha, mu):
+        kernel = Kernel("skew_gaussian", alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # invalid operations at mu = +-inf, nan
+            got = kernels._skew_cross_quadrature(kernel, mu)
+            with mock.patch.object(kernels, "_erfc_monotone", lambda t: erfc(t, out=t)):
+                want = kernels._skew_cross_quadrature(kernel, mu)
+        assert _bits(got) == _bits(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        alpha=ALPHAS,
+        # +-1 and +-20 hold the saturation thresholds at |alpha| = 10 and 0.5
+        x=st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats(-20.0, 20.0), SHIFTS), min_size=1, max_size=60),
+    )
+    def test_sorted_pdf_has_the_plain_erfc_bits(self, alpha, x):
+        x = np.sort(np.array(x, dtype=float))
+        got = kernels._skew_pdf(alpha, x, np.empty(x.shape), np.empty(x.shape), ascending=True)
+        want = kernels._skew_pdf(alpha, x, np.empty(x.shape), np.empty(x.shape))
+        assert np.all(_bits(got) == _bits(want))
+
+    @pytest.mark.parametrize("alpha", [10.0, -10.0, 0.5, -0.5, 1e3, -1e3, 1e-3])
+    def test_dense_sorted_pdf_has_the_plain_erfc_bits(self, alpha):
+        x = np.linspace(-60.0, 60.0, 240_001)
+        got = kernels._skew_pdf(alpha, x, np.empty(x.shape), np.empty(x.shape), ascending=True)
+        want = kernels._skew_pdf(alpha, x, np.empty(x.shape), np.empty(x.shape))
+        assert np.all(_bits(got) == _bits(want))
+
+    def test_rule_calls_erfc_on_the_unsaturated_middle_only(self, monkeypatch):
+        sizes = []
+
+        def counting_erfc(t, out):
+            sizes.append(t.size)
+            return erfc(t, out=out)
+
+        monkeypatch.setattr(kernels, "erfc", counting_erfc)
+        kernels._skew_cross_quadrature(SKEW, 0.7)
+        assert len(sizes) == 2 and max(sizes) < (kernels.SIMPSON_PANELS + 1) // 3
+
+
+class TestOverflow:
+    # alpha x or x^2 overflowing to +-inf gives the density's limit
+    @pytest.mark.parametrize(
+        "alpha, x, want",
+        [
+            (10.0, 1e308, 0.0),
+            (10.0, -1e308, 0.0),
+            (-10.0, 1e308, 0.0),
+            (1e308, -3.0, 0.0),
+            (1e308, 3.0, 2.0 * math.exp(-4.5) / math.sqrt(2.0 * math.pi)),
+        ],
+    )
+    def test_pdf_takes_the_limit_without_a_warning(self, alpha, x, want):
+        kernel = Kernel("skew_gaussian", alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert pdf(kernel, x) == pytest.approx(want, rel=1e-15)
+            assert np.all(pdf_many(kernel, [x, x]) == pdf(kernel, x))
+
+    @pytest.mark.parametrize("mu", [1e308, -1e308])
+    def test_cross_inner_at_a_huge_shift_is_zero_without_a_warning(self, mu):
+        kernels._SKEW_CACHE.pop((10.0, mu), None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cross_inner(SKEW, mu) == 0.0
+
+    def test_cli_prints_no_warning_under_w_error(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        stdout = {}
+        for argv in (
+            ["inner-product", "--kernel", "skew_gaussian", "--alpha", "10", "--mu", "1e308"],
+            ["certify", "--kernel", "skew_gaussian", "--alpha", "1e308", "--check", "kappa"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "contamix.cli", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            stdout[argv[0]] = proc.stdout
+        assert stdout["inner-product"] == "inner_product=0.0\n"

@@ -2,11 +2,13 @@ import csv
 import math
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from contamix import simharness
 from contamix.kernels import Kernel
 from contamix.simharness import (
     ConfigError,
@@ -18,6 +20,7 @@ from contamix.simharness import (
     replicate_seed,
     run_experiment,
     run_replicate,
+    write_csv,
 )
 
 GAUSS = Kernel("gaussian")
@@ -214,6 +217,47 @@ class TestCsv:
             emit_csv(res, tmp_path / "no" / "such" / "dir.csv")
 
 
+def rowwise_csv(header, array):
+    """The bytes of a float array written row by row, each value by ``str``."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *array.tolist()])
+
+
+class TestArrayCsv:
+    @staticmethod
+    def surface(rows):
+        rng = np.random.default_rng(5)
+        repeated = rng.choice([0.0, -0.0, 0.1, 1 / 3, np.nan, np.inf, -np.inf, 1e-300, 5e-324], rows)
+        distinct = rng.permutation(rows) * 0.1 + rng.random(rows)  # all distinct, unsorted
+        return np.column_stack([repeated, distinct, repeated, np.full(rows, 2.5), -distinct])
+
+    @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 20, 2 * 1024 + 5])
+    @pytest.mark.parametrize("block", [7, None])
+    def test_same_bytes_as_rows_of_floats(self, tmp_path, monkeypatch, rows, block):
+        if block is not None:
+            monkeypatch.setattr(simharness, "_CSV_BLOCK_ROWS", block)
+        array = self.surface(rows)
+        header = ("a", "b", "c", "d", "e")
+        write_csv(tmp_path / "s.csv", "surface", header, array)
+        assert (tmp_path / "s.csv").read_text() == rowwise_csv(header, array)
+
+    def test_signed_zeros_keep_their_signs(self, tmp_path):
+        array = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+        write_csv(tmp_path / "s.csv", "surface", ("x", "y"), array)
+        assert (tmp_path / "s.csv").read_text() == "x,y\n0.0,-0.0\n-0.0,0.0\n0.0,-0.0\n-0.0,-0.0\n"
+
+    def test_memory_bounded(self, tmp_path):
+        # a surface the size of the crucial scan's (11 556 pairs x 5 columns):
+        # formatted whole, its text would take about 3 MB
+        array = self.surface(11556)
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "s.csv", "surface", ("a", "b", "c", "d", "e"), array)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestGoldenDesk:
     # fig1_desk_*.csv were written by `contamix simulate` on the desk config
     # before the lattice scan existed; the estimator must keep every byte
@@ -282,6 +326,13 @@ class TestConfigFile:
         p = tmp_path / "c.config"
         p.write_text("kernel = gaussian\nbogus = 1\n")
         with pytest.raises(ConfigError, match="bogus"):
+            load_config(p)
+
+    def test_key_set_twice_named_with_both_lines(self, tmp_path):
+        p = tmp_path / "c.config"
+        body = "".join(f"{key} = {value}\n" for key, value in self.REQUIRED)
+        p.write_text(body + "# again\nn = 200\n")
+        with pytest.raises(ConfigError, match=r"c.config:9: config key 'n' is already set on line 2"):
             load_config(p)
 
     def test_skew_alpha_parsed(self, tmp_path):
