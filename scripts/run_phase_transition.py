@@ -3,8 +3,10 @@
 
 Defaults to the bundled desk-scale config; point --config at
 configs/fig1_full.config for the full protocol (n = 5000, 1000 replicates
-per nu; 35-37 s with --workers 2 in three runs on a shared two-core host
-with Python 3.11.7, numpy 2.4.6).
+per nu; 34-37 s through `contamix simulate` in two runs on a shared two-core
+host with Python 3.11.7, numpy 2.4.6).  Replicates run one after another on
+the calling thread, and the CSVs are those of `contamix simulate` on the
+same config.
 """
 
 import argparse
@@ -20,13 +22,12 @@ def main():
     ap.add_argument("--config", default=str(REPO / "configs" / "fig1_desk.config"))
     ap.add_argument("--out", default="phase_summary.csv")
     ap.add_argument("--raw", default="phase_raw.csv")
-    ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
 
     config = load_config(args.config)
     print(f"kernel={config.kernel.family} n={config.n} replicates={config.replicates} "
           f"cells={len(config.cells())}")
-    result = run_experiment(config, workers=args.workers)
+    result = run_experiment(config)
     emit_csv(result, args.out, args.raw)
     print(f"{'nu':>8} {'mu_star':>9} {'mse_lambda':>12} {'mse_mu':>12}")
     for row in result.rows:

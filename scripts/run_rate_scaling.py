@@ -3,6 +3,8 @@
 
 Prints the normalized quantities n * MSE / log^2(n), which stay near-constant
 when the estimator attains the log^2(n)/n rate for both parameters.
+Replicates run one after another on the calling thread, and the CSVs are
+those of `contamix simulate` on the same config.
 """
 
 import argparse
@@ -19,11 +21,10 @@ def main():
     ap.add_argument("--config", default=str(REPO / "configs" / "rate_scaling.config"))
     ap.add_argument("--out", default="rate_summary.csv")
     ap.add_argument("--raw", default="rate_raw.csv")
-    ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
 
     config = load_config(args.config)
-    result = run_experiment(config, workers=args.workers)
+    result = run_experiment(config)
     emit_csv(result, args.out, args.raw)
     print(f"{'n':>6} {'mse_lambda':>12} {'mse_mu':>12} {'n*mse_l/log^2':>14} {'n*mse_m/log^2':>14}")
     for row in result.rows:

@@ -113,15 +113,16 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    workers = _default_workers() if args.workers is None else args.workers
-    if workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {workers}")
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
+    if args.raw is not None and os.path.realpath(args.raw) == os.path.realpath(args.out):
+        raise _UsageError(f"--raw and --out name the same file: {args.out}")
     config = load_config(args.config)
     if args.paper:
         from dataclasses import replace
 
         config = replace(config, replicates=1000)
-    result = run_experiment(config, workers=workers)
+    result = run_experiment(config)
     emit_csv(result, args.out, args.raw)
     print(f"summary={args.out}")
     if args.raw:
@@ -183,18 +184,6 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if report.passed else EXIT_CERTIFY
 
 
-def _default_workers() -> int:
-    """``CONTAMIX_WORKERS`` under the rule of ``--workers``; 1 when unset or empty."""
-    env = os.environ.get("CONTAMIX_WORKERS", "")
-    try:
-        workers = int(env or 1)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise _UsageError(f"CONTAMIX_WORKERS must be an integer >= 1, got {env!r}")
-    return workers
-
-
 def _make_parser() -> _Parser:
     parser = _Parser(prog="contamix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -215,7 +204,10 @@ def _make_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="summary CSV path")
     p.add_argument("--raw", default=None, help="optional raw per-replicate CSV path")
-    p.add_argument("--workers", type=int, default=None, help="default: CONTAMIX_WORKERS, else 1")
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="an integer >= 1; accepted, but replicates run on the calling thread",
+    )
     p.add_argument("--paper", action="store_true", help="full-scale preset (1000 replicates)")
     p.set_defaults(func=_cmd_simulate)
 

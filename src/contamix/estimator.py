@@ -143,9 +143,10 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import erfc
 
-from .kernels import SIMPSON_HALF_WIDTH, SIMPSON_PANELS, Kernel, cross_inner_many, memo, pdf_many, self_inner
+from .kernels import (
+    SIMPSON_HALF_WIDTH, SIMPSON_PANELS, Kernel, cross_inner_many, memo, normal_cdf, pdf_many, self_inner,
+)
 from .mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf_many
 
 __all__ = [
@@ -507,7 +508,7 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
         # absolute value for the rounding of the tables
         dpsi, apsi = _psi_derivatives(s, order)
         dcdf, acdf = _psi_derivatives(z, order - 1)  # psi^(k-1)(z), rebound below
-        cdf = 0.5 * erfc(-z / math.sqrt(2.0))
+        cdf = normal_cdf(z)
         dcdf = [cdf] + [powers[k] * dcdf[k - 1] for k in range(1, order)]
         acdf = [cdf] + [abs(powers[k]) * acdf[k - 1] for k in range(1, order)]
         table = np.empty((order, t.shape[0]))

@@ -158,6 +158,11 @@ def _erfc_monotone(t: np.ndarray) -> None:
     erfc(middle, out=middle)
 
 
+def normal_cdf(z: np.ndarray) -> np.ndarray:
+    """The standard normal CDF Psi(z) = erfc(-z / sqrt 2) / 2, elementwise."""
+    return 0.5 * erfc(-z / _SQRT_2)
+
+
 def as_point(kernel: Kernel, x):
     """The one point rule: a point or shift as the formulas take it.
 

@@ -6,8 +6,8 @@ mode, fixed n, shift mu_star = sqrt(1 / (lambda_star n^nu))) or a list of
 sample sizes (rate_scaling mode, fixed shift via ``mu_star_override``).  Every
 (cell, replicate) pair is an independent work item whose RNG seed is derived
 from (master_seed, cell_index, rep_index) by a splitmix-style 64-bit mix, so
-results are reproducible replicate-by-replicate and independent of worker
-count or scheduling order.
+results are reproducible replicate-by-replicate and independent of the order
+in which the replicates run.
 
 Outputs: a summary table of per-cell mean squared errors and the raw
 per-replicate estimates, both writable as CSV.  The summary header is
@@ -17,7 +17,6 @@ per-replicate estimates, both writable as CSV.  The summary header is
 Numbers are written in shortest round-trip decimal form.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 import math
 
@@ -87,6 +86,8 @@ class ExperimentConfig:
                 object.__setattr__(self, "nu_values", DEFAULT_NU_LADDER)
             if any(not 0.0 < nu <= 1.0 for nu in self.nu_values):
                 raise ConfigError("nu values must lie in (0, 1]")
+            if self.n_values is not None:
+                raise ConfigError("n_values is for rate_scaling; phase_transition runs every cell at n")
         else:
             if not self.n_values:
                 raise ConfigError("rate_scaling needs a nonempty n_values list")
@@ -227,27 +228,17 @@ def run_replicate(config: ExperimentConfig, nu_index: int, rep_index: int):
     return result.lambda_hat, float(result.mu_hat[0])
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run every (cell, replicate) work item and aggregate per-cell MSEs.
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run every (cell, replicate) work item in index order on the calling
+    thread and aggregate per-cell MSEs.
 
     MSE(lambda) = mean (lambda_hat - lambda_star)^2 and likewise for mu.
-    Results are merged in (cell, replicate) index order, so the output is a
-    pure function of the config regardless of ``workers``.
+    Each replicate is looked up as the module's ``run_replicate``, so a
+    wrapper set on that name sees every call.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = config.cells()
     reps = config.replicates
-    tasks = [(ci, ri) for ci in range(len(cells)) for ri in range(reps)]
-
-    def run(task):
-        return run_replicate(config, *task)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(run, tasks))
-    else:
-        estimates = list(map(run, tasks))
+    estimates = [run_replicate(config, ci, ri) for ci in range(len(cells)) for ri in range(reps)]
 
     key_name = "nu" if config.mode == "phase_transition" else "n"
     rows = []

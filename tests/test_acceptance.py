@@ -141,7 +141,7 @@ def test_criterion_4_phase_transition():
         nu_values=(4 / 24, 20 / 24),
         M=10.0, replicates=200, master_seed=MASTER_SEED,
     )
-    res = run_experiment(cfg, workers=8)
+    res = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
     easy, hard = res.rows
     mu_ratio = hard.mse_mu / easy.mse_mu
@@ -162,7 +162,7 @@ def test_criterion_5_rate_scaling():
         M=10.0, replicates=200, master_seed=MASTER_SEED, mode="rate_scaling",
         n_values=(500, 2000, 8000), mu_star_override=2.0,
     )
-    res = run_experiment(cfg, workers=8)
+    res = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
     q_lam = [r.n * r.mse_lambda / math.log(r.n) ** 2 for r in res.rows]
     q_mu = [r.n * r.mse_mu / math.log(r.n) ** 2 for r in res.rows]

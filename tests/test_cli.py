@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,29 @@ class TestSimulate:
         assert code == 2
         assert "M must be positive and finite" in err and "Traceback" not in err
 
+    def test_raw_same_as_out_usage_error(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli(
+            "simulate", "--config", str(DESK_CONFIG), "--out", str(out_csv),
+            "--raw", str(tmp_path / "sub" / ".." / "o.csv"),
+        )
+        assert code == 1
+        assert "--raw" in err and "Traceback" not in err and out == ""
+        assert not out_csv.exists()
+
+    def test_n_values_in_phase_transition_is_config_error(self, tmp_path):
+        p = tmp_path / "pt.config"
+        p.write_text(
+            "kernel = gaussian\nn = 100\nlambda_star = 0.25\nnu_values = 0.5\nM = 3\n"
+            "replicates = 2\nmaster_seed = 1\nmode = phase_transition\nn_values = 5, 6\n"
+        )
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli("simulate", "--config", str(p), "--out", str(out_csv))
+        assert code == 2
+        assert "n_values" in err and "Traceback" not in err and out == ""
+        assert not out_csv.exists()
+
     def test_missing_config_file(self, tmp_path):
         code, _, _ = run_cli("simulate", "--config", "/no/such.config", "--out", str(tmp_path / "o.csv"))
         assert code == 2
@@ -393,36 +417,26 @@ class TestInProcess:
         monkeypatch.setattr(cli_mod, "_run_scan", lambda kernel, check: failed)
         assert cli_mod.main(["certify", "--kernel", "gaussian", "--check", "kappa"]) == 3
 
-    def test_workers_env_default(self, monkeypatch):
-        from contamix.cli import _default_workers, _UsageError
-
-        monkeypatch.setenv("CONTAMIX_WORKERS", "6")
-        assert _default_workers() == 6
-        for bad in ("garbage", "0", "-3", "2.5"):
-            monkeypatch.setenv("CONTAMIX_WORKERS", bad)
-            with pytest.raises(_UsageError, match="CONTAMIX_WORKERS"):
-                _default_workers()
-        monkeypatch.setenv("CONTAMIX_WORKERS", "")
-        assert _default_workers() == 1
-        monkeypatch.delenv("CONTAMIX_WORKERS")
-        assert _default_workers() == 1
-
-    def test_workers_env_checked_unless_flag_given(self, tmp_path, monkeypatch, capsys):
+    def test_workers_flag_runs_replicates_on_the_calling_thread(self, tmp_path, monkeypatch):
         from contamix import cli as cli_mod
+        from contamix import simharness
 
         p = tmp_path / "tiny.config"
         p.write_text(
-            "kernel = gaussian\nn = 100\nlambda_star = 0.25\nnu_values = 0.5\n"
-            "M = 3\nreplicates = 2\nmaster_seed = 1\nmode = phase_transition\n"
+            "kernel = gaussian\nn = 100\nlambda_star = 0.25\nnu_values = 0.25, 0.5\n"
+            "M = 3\nreplicates = 3\nmaster_seed = 1\nmode = phase_transition\n"
         )
-        out = tmp_path / "o.csv"
-        monkeypatch.setenv("CONTAMIX_WORKERS", "0")
-        assert cli_mod.main(["simulate", "--config", str(p), "--out", str(out)]) == 1
-        assert "CONTAMIX_WORKERS" in capsys.readouterr().err
-        assert not out.exists()
-        monkeypatch.setenv("CONTAMIX_WORKERS", "garbage")
-        assert cli_mod.main(["simulate", "--config", str(p), "--out", str(out), "--workers", "2"]) == 0
-        assert out.exists()
+        threads = []
+        real = simharness.run_replicate
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(simharness, "run_replicate", recording)
+        argv = ["simulate", "--config", str(p), "--out", str(tmp_path / "o.csv"), "--workers", "2"]
+        assert cli_mod.main(argv) == 0
+        assert threads == [threading.get_ident()] * 6
 
     def test_paper_preset_sets_replicates(self, tmp_path, monkeypatch):
         from contamix import cli as cli_mod
@@ -434,7 +448,7 @@ class TestInProcess:
         )
         seen = {}
 
-        def fake_run(config, workers=1):
+        def fake_run(config):
             seen["replicates"] = config.replicates
             from contamix.simharness import ExperimentResult
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import erfc, ndtr
 
 from contamix import estimator, kernels
 from contamix.estimator import (
@@ -692,6 +692,18 @@ class TestSkewLatticeInner:
         sizes = spy_precompute(monkeypatch)
         assert_lattice_scan_exact(data, 2.0, kernel)
         assert sizes[-1] == grid.mu_levels.shape[0]
+
+    @pytest.mark.parametrize("alpha", [10.0, -0.5, 1e3])
+    def test_tables_keep_the_erfc_expression_bits(self, alpha, monkeypatch):
+        # the certified scan hides the table bits from every output, so the
+        # factor Psi(alpha s) is pinned here to 0.5 erfc(-z / sqrt 2)
+        kernel = Kernel("skew_gaussian", alpha=alpha)
+        t = np.arange(-900, 901) / math.sqrt(5000.0)
+        table, err = estimator._skew_spec(kernel).tables(t)
+        monkeypatch.setattr(estimator, "normal_cdf", lambda z: 0.5 * erfc(-z / math.sqrt(2.0)))
+        want_table, want_err = estimator._skew_spec(kernel).tables(t)
+        assert np.array_equal(table.view(np.int64), want_table.view(np.int64))
+        assert np.array_equal(err.view(np.int64), want_err.view(np.int64))
 
     def test_simpson_only_on_candidates(self, monkeypatch):
         levels = []

@@ -76,6 +76,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(mode="sweep")
 
+    def test_phase_transition_refuses_n_values(self):
+        # phase_transition runs every cell at n, so n_values would be ignored
+        with pytest.raises(ConfigError, match="n_values"):
+            small_config(n_values=(100,))
+
     def test_cell_grids_validated(self):
         with pytest.raises(ConfigError, match="n=2"):
             small_config(mode="rate_scaling", n_values=(2, 500), mu_star_override=1.0)
@@ -124,15 +129,6 @@ class TestAggregation:
             sub = raw[raw[:, 0] == row.nu]
             assert abs(float(np.mean((sub[:, 1] - cfg.lambda_star) ** 2)) - row.mse_lambda) < 1e-12
             assert abs(float(np.mean((sub[:, 2] - row.mu_star) ** 2)) - row.mse_mu) < 1e-12
-
-    def test_worker_count_invariance(self):
-        cfg = small_config(replicates=8)
-        assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=4)
-
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_rejects_fewer_than_one_worker(self, workers):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            run_experiment(small_config(), workers=workers)
 
     def test_rate_scaling_rows(self, tmp_path):
         cfg = small_config(
@@ -419,7 +415,7 @@ class TestPilotAccuracy:
             kernel=GAUSS, n=5000, lambda_star=0.25, nu_values=(6 / 24, 8 / 24),
             M=10.0, replicates=50, master_seed=314159,
         )
-        res = run_experiment(cfg, workers=2)
+        res = run_experiment(cfg)
         raw = np.array([(key, mh) for key, _, _, mh in res.raw])
         for nu, floor in ((6 / 24, 0.9), (8 / 24, 0.6)):
             mu_star = cfg.mu_star(nu, 5000)
@@ -442,7 +438,7 @@ class TestMonotoneDifficulty:
             kernel=Kernel(family, alpha=alpha), n=5000, lambda_star=0.25,
             nu_values=(4 / 24, 20 / 24), M=10.0, replicates=200, master_seed=20260809,
         )
-        res = run_experiment(cfg, workers=2)
+        res = run_experiment(cfg)
         easy, hard = res.rows
         assert hard.mse_mu >= factor * easy.mse_mu
         assert hard.mse_lambda >= factor * easy.mse_lambda
