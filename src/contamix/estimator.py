@@ -323,8 +323,8 @@ def precompute(
     Shift sums are streamed over mu levels in fixed-size chunks (no n x q
     matrix is materialized), costing O(n q) kernel evaluations.  An explicit
     ``inner_products`` array (one entry per mu level) replaces the values of
-    ``cross_inner_many``; the Monte-Carlo fidelity mode of the simulation
-    harness uses this hook.
+    ``cross_inner_many``: for Monte-Carlo inner products, pass
+    ``mc_inner(kernel, mu, T, seed)[0]`` at each of ``grid.mu_levels``.
     """
     data = _checked_data(kernel, data)
     if grid.dim != kernel.dim:
@@ -488,7 +488,7 @@ def _laplace_weights(r: np.ndarray):
 
 def _laplace_tables(t: np.ndarray):
     # t = (k - b) h: one-sided e^-|t| / 2 for b > k and for b < k, and the b = k term
-    half = 0.5 * np.exp(-np.abs(t))
+    half = pdf_many(Kernel("laplace"), t)
     tables = np.array([np.where(t < 0, half, 0.0), np.where(t > 0, half, 0.0), np.where(t == 0, 0.5, 0.0)])
     return tables, _U * np.max((2.0 + np.abs(t)) * tables, axis=1)
 

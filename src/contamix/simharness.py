@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .estimator import build_grid, estimate, grid_levels
-from .kernels import Kernel, mc_inner, memo
+from .estimator import estimate, grid_levels
+from .kernels import Kernel
 from .mixture import MixtureParams, sample_mixture
 
 __all__ = [
@@ -40,11 +40,6 @@ __all__ = [
 ]
 
 MODES = ("phase_transition", "rate_scaling")
-INNER_METHODS = ("quadrature", "mc")
-
-# T_MC = n^2 capped at 1e8 draws per grid shift for the Monte-Carlo
-# inner-product fidelity mode.
-MC_DRAWS_CAP = 10 ** 8
 
 
 class ConfigError(ValueError):
@@ -66,21 +61,18 @@ class ExperimentConfig:
     mode: str = "phase_transition"
     n_values: tuple | None = None
     mu_star_override: float | None = None
-    inner_method: str = "quadrature"
 
     def __post_init__(self):
         if self.kernel.dim != 1:
             raise ConfigError("experiments are one-dimensional")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.inner_method not in INNER_METHODS:
-            raise ConfigError(f"inner_method must be one of {INNER_METHODS}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if not 0.0 < self.lambda_star < 1.0:
             raise ConfigError("lambda_star must lie in (0, 1)")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be nonnegative")
+        if not 0 <= self.master_seed < 2 ** 64:  # _mix64 would alias a larger seed
+            raise ConfigError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if self.mode == "phase_transition":
             if not self.nu_values:
                 object.__setattr__(self, "nu_values", DEFAULT_NU_LADDER)
@@ -174,36 +166,6 @@ def replicate_seed(master_seed: int, nu_index: int, rep_index: int) -> int:
 
 # ----------------------------- execution -----------------------------
 
-# Monte-Carlo inner products for a grid, in fidelity mode, keyed per
-# (kernel, n, M, master_seed).
-_MC_INNER_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _mc_inner_products(config: ExperimentConfig, n: int) -> np.ndarray:
-    """Monte-Carlo <phi, phi_mu> at every mu level of the n grid, for the
-    ``inner_method = mc`` fidelity mode.
-
-    Each level takes min(n^2, MC_DRAWS_CAP) draws, which is slow at study
-    sizes: at 58-73 ns per skew-Gaussian draw on one thread, one n = 5000,
-    M = 10 grid (1414 levels of 2.5e7 draws) takes about 35-45 min, and one
-    n = 8000 grid (1788 levels of 6.4e7 draws) about 1.8-2.3 h.
-    """
-
-    def fill():
-        grid = build_grid(n, config.M, 1)
-        draws = min(n * n, MC_DRAWS_CAP)
-        base = _mix64(config.master_seed, 0x4D43)  # dedicated stream for inner products
-        vals = np.array(
-            [
-                mc_inner(config.kernel, mu, draws, _mix64(base, j))[0]
-                for j, mu in enumerate(grid.mu_levels)
-            ]
-        )
-        vals.setflags(write=False)
-        return vals
-
-    return memo(_MC_INNER_CACHE, (config.kernel, n, config.M, config.master_seed), fill, 16)
-
 
 def run_replicate(config: ExperimentConfig, nu_index: int, rep_index: int):
     """One estimation run; returns (lambda_hat, mu_hat) as floats.
@@ -221,10 +183,7 @@ def run_replicate(config: ExperimentConfig, nu_index: int, rep_index: int):
     theta = MixtureParams(config.lambda_star, mu_star)
     seed = replicate_seed(config.master_seed, nu_index, rep_index)
     data = sample_mixture(config.kernel, theta, n, seed)
-    if config.inner_method == "mc" and config.kernel.family == "skew_gaussian":
-        result = estimate(config.kernel, data, config.M, inner_products=_mc_inner_products(config, n))
-    else:
-        result = estimate(config.kernel, data, config.M)
+    result = estimate(config.kernel, data, config.M)
     return result.lambda_hat, float(result.mu_hat[0])
 
 
@@ -365,7 +324,6 @@ _CONFIG_KEYS = {
     "mode": (str, True),
     "n_values": (_listed(_integer), False),
     "mu_star_override": (float, False),
-    "inner_method": (str, False),
 }
 
 

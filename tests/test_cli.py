@@ -316,6 +316,23 @@ class TestSimulate:
         assert code == 2
         assert "M must be positive and finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [("master_seed = 18446744073709551616", "master_seed"), ("inner_method = mc", "inner_method")],
+        ids=["seed_2_to_64", "inner_method"],
+    )
+    def test_refused_config_line_is_config_error(self, tmp_path, line, named):
+        p = tmp_path / "refused.config"
+        p.write_text(
+            "kernel = gaussian\nn = 100\nlambda_star = 0.25\nnu_values = 0.5\nM = 3\n"
+            f"replicates = 2\nmode = phase_transition\n{line}\n"
+        )
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli("simulate", "--config", str(p), "--out", str(out_csv))
+        assert code == 2
+        assert named in err and "Traceback" not in err and out == ""
+        assert not out_csv.exists()
+
     def test_raw_same_as_out_usage_error(self, tmp_path):
         (tmp_path / "sub").mkdir()
         out_csv = tmp_path / "o.csv"

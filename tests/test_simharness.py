@@ -1,7 +1,5 @@
 import csv
 import math
-import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +7,9 @@ import numpy as np
 import pytest
 
 from contamix import simharness
-from contamix.kernels import Kernel
+from contamix.estimator import build_grid, estimate
+from contamix.kernels import Kernel, mc_inner
+from contamix.mixture import MixtureParams, sample_mixture
 from contamix.simharness import (
     ConfigError,
     ExperimentConfig,
@@ -63,6 +63,15 @@ class TestConfig:
     def test_override_at_negative_bound_accepted(self):
         cfg = small_config(mode="rate_scaling", n_values=(100,), mu_star_override=-3.0)
         assert cfg.mu_star(0.0, 100) == -3.0
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_master_seed_outside_64_bits_rejected(self, seed):
+        # the seed mix keeps 64 bits, so 2^64 + 1 would replay seed 1
+        with pytest.raises(ConfigError, match="master_seed"):
+            small_config(master_seed=seed)
+
+    def test_master_seed_top_accepted(self):
+        assert small_config(master_seed=2 ** 64 - 1).master_seed == 2 ** 64 - 1
 
     def test_replicates_positive(self):
         with pytest.raises(ConfigError):
@@ -272,6 +281,21 @@ class TestConfigFile:
         assert len(cfg.nu_values) == 24
         assert cfg.mode == "phase_transition"
 
+    # (mode, n, replicates, number of nu values, n_values, mu_star_override)
+    # of every bundled config; a config missing here fails by its file name
+    BUNDLED = {
+        "fig1_desk.config": ("phase_transition", 1000, 30, 24, None, None),
+        "fig1_full.config": ("phase_transition", 5000, 1000, 24, None, None),
+        "rate_scaling.config": ("rate_scaling", 500, 200, 0, (500, 2000, 8000), 2.0),
+    }
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.config")), ids=lambda p: p.name)
+    def test_bundled_config_loads(self, path):
+        cfg = load_config(path)
+        facts = (cfg.mode, cfg.n, cfg.replicates, len(cfg.nu_values), cfg.n_values, cfg.mu_star_override)
+        assert facts == self.BUNDLED[path.name]
+        assert (cfg.kernel, cfg.lambda_star, cfg.M, cfg.master_seed) == (GAUSS, 0.25, 10.0, 20260809)
+
     REQUIRED = (
         ("kernel", "gaussian"), ("n", "100"), ("lambda_star", "0.25"), ("M", "3"),
         ("replicates", "2"), ("master_seed", "1"), ("mode", "phase_transition"),
@@ -297,7 +321,7 @@ class TestConfigFile:
         )
         assert type(cfg.n) is int
         assert cfg.n_values is None and cfg.mu_star_override is None
-        assert cfg.inner_method == "quadrature" and cfg.kernel.alpha is None
+        assert cfg.kernel.alpha is None
 
     @pytest.mark.parametrize(
         "key, value",
@@ -318,10 +342,13 @@ class TestConfigFile:
         p.write_text(body + "nu_values = 0.5\nn_values = 500.0, 2000\n")
         assert load_config(p).n_values == (500, 2000)
 
-    def test_unknown_key_named(self, tmp_path):
+    # studies take quadrature inner products only, so inner_method is unknown:
+    # Monte-Carlo ones go through estimate(..., inner_products=)
+    @pytest.mark.parametrize("key, value", [("bogus", "1"), ("inner_method", "mc")])
+    def test_unknown_key_named(self, tmp_path, key, value):
         p = tmp_path / "c.config"
-        p.write_text("kernel = gaussian\nbogus = 1\n")
-        with pytest.raises(ConfigError, match="bogus"):
+        p.write_text(f"kernel = gaussian\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             load_config(p)
 
     def test_key_set_twice_named_with_both_lines(self, tmp_path):
@@ -350,60 +377,25 @@ class TestConfigFile:
         assert load_config(p).n == 100
 
 
-class TestMcFidelity:
-    def test_mc_inner_products_near_quadrature(self):
+class TestMonteCarloInnerProducts:
+    def test_estimate_takes_per_level_mc_inner(self):
+        # Monte-Carlo inner products at every mu level, T = n^2 draws each,
+        # through estimate's inner_products; fixed seeds pin the estimate,
+        # which differs from the quadrature one
         skew = Kernel("skew_gaussian", alpha=10.0)
         cfg = ExperimentConfig(
-            kernel=skew, n=64, lambda_star=0.25, nu_values=(0.25,), M=2.0,
-            replicates=2, master_seed=7, inner_method="mc",
+            kernel=skew, n=64, lambda_star=0.25, nu_values=(0.25,), M=2.0, replicates=2, master_seed=7
         )
-        assert run_replicate(cfg, 0, 0) == run_replicate(cfg, 0, 0)
-        from contamix.estimator import build_grid
-        from contamix.kernels import cross_inner_many
-        from contamix.simharness import _mc_inner_products
-
-        vals = _mc_inner_products(cfg, 64)
-        exact = cross_inner_many(skew, build_grid(64, 2.0, 1).mu_levels)
-        # T = 64^2 draws per shift: SE is a few 1e-3
-        assert float(np.max(np.abs(vals - exact))) < 0.05
-
-    def test_concurrent_fill_runs_once(self, monkeypatch):
-        from contamix import simharness
-
-        calls = []
-        real = simharness.mc_inner
-
-        def slow_mc_inner(*args, **kwargs):
-            calls.append(threading.get_ident())
-            time.sleep(0.005)  # widen the window in which other threads arrive
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(simharness, "mc_inner", slow_mc_inner)
-        monkeypatch.setattr(simharness, "_MC_INNER_CACHE", {})
-        cfg = ExperimentConfig(
-            kernel=Kernel("skew_gaussian", alpha=10.0), n=16, lambda_star=0.25,
-            nu_values=(1.0,), M=1.0, replicates=1, master_seed=3, inner_method="mc",
-        )
-        barrier = threading.Barrier(4)
-        got = []
-
-        def worker():
-            barrier.wait()
-            got.append(simharness._mc_inner_products(cfg, 16))
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-            assert not t.is_alive()
-        assert len(calls) == 8  # one per mu level: 2 k_max = 2 floor(1 * sqrt(16))
-        assert len(got) == 4 and all(a is got[0] for a in got)
-
-    def test_mc_flag_ignored_for_closed_forms(self):
-        cfg_mc = small_config(inner_method="mc")
-        cfg_quad = small_config()
-        assert run_replicate(cfg_mc, 0, 0) == run_replicate(cfg_quad, 0, 0)
+        base = simharness._mix64(cfg.master_seed, 0x4D43)
+        inner = [
+            mc_inner(skew, mu, cfg.n ** 2, simharness._mix64(base, j))[0]
+            for j, mu in enumerate(build_grid(cfg.n, cfg.M, 1).mu_levels)
+        ]
+        theta = MixtureParams(cfg.lambda_star, cfg.mu_star(0.25, cfg.n))
+        data = sample_mixture(skew, theta, cfg.n, replicate_seed(cfg.master_seed, 0, 0))
+        result = estimate(skew, data, cfg.M, inner_products=inner)
+        assert (result.lambda_hat, float(result.mu_hat[0])) == (0.25, 0.75)
+        assert run_replicate(cfg, 0, 0) == (0.25, 0.625)
 
 
 class TestPilotAccuracy:
