@@ -73,8 +73,9 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
 def _read_data(path: str, dim: int) -> np.ndarray:
     """Headerless CSV of coordinates, one sample per line."""
     try:
-        lines = open(path).read().splitlines()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise _DataError(f"cannot read data file {path}: {exc}") from exc
     rows = []
     for ln, line in enumerate(lines, start=1):
@@ -112,11 +113,21 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(path: str, kind: str) -> None:
+    """Raise write_csv's OSError now if ``path`` cannot be written, leaving it untouched."""
+    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise OSError(f"cannot write {kind} CSV {path}: not a writable file path")
+
+
 def _cmd_simulate(args) -> int:
     if args.workers < 1:
         raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     if args.raw is not None and os.path.realpath(args.raw) == os.path.realpath(args.out):
         raise _UsageError(f"--raw and --out name the same file: {args.out}")
+    for kind, path in (("summary", args.out), ("raw", args.raw)):
+        if path is not None:
+            _check_writable(path, kind)
     config = load_config(args.config)
     if args.paper:
         from dataclasses import replace
@@ -165,6 +176,8 @@ def _run_scan(kernel: Kernel, check: str):
 def _cmd_certify(args) -> int:
     kernel = _build_kernel(args)
     report = _run_scan(kernel, args.check)
+    if args.out:  # first, so a failed write prints no report
+        write_csv(args.out, "surface", report.surface_columns, report.surface)
     desc = kernel.family if kernel.alpha is None else f"{kernel.family}(alpha={_fmt(kernel.alpha)})"
     print(f"check={report.check_name}")
     print(f"kernel={desc}")
@@ -177,9 +190,6 @@ def _cmd_certify(args) -> int:
     for key, val in report.details.items():
         print(f"{key}={_fmt(val)}")
     if args.out:
-        # write_csv formats the array in blocks of rows: a whole-surface
-        # tolist() adds about 2 MB to peak RSS
-        write_csv(args.out, "surface", report.surface_columns, report.surface)
         print(f"surface={args.out}")
     return EXIT_OK if report.passed else EXIT_CERTIFY
 

@@ -243,7 +243,10 @@ def grid_levels(n: int, M: float, d: int = 1) -> tuple[int, int, int]:
         raise ValueError("d must be a positive integer")
     p = math.isqrt(n)
     # tiny nudge guards against M*sqrt(n) landing one ulp under an integer
-    k_max = math.floor(M * math.sqrt(n) + 1e-12)
+    try:  # math.sqrt of an int past the float range, or floor(inf)
+        k_max = math.floor(M * math.sqrt(n) + 1e-12)
+    except OverflowError:
+        raise ValueError(f"M sqrt(n) overflows a float (M={M}, n={n})") from None
     if k_max < 1:
         raise ValueError(f"M sqrt(n) < 1: the mu grid is empty (M={M}, n={n})")
     q = (2 * k_max) ** d

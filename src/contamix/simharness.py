@@ -286,31 +286,24 @@ def emit_csv(result: ExperimentResult, summary_path, raw_path=None) -> None:
 # ----------------------------- config files -----------------------------
 
 
-def _parse_scalar(text: str):
+def _integer(text: str) -> int:
+    """An int key's value: an integer, or a float with no fractional part."""
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _integer(value) -> int:
-    """An int key's value: an int, or a float with no fractional part."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError("expected an integer")
     return int(value)
 
 
 def _listed(convert):
     """Conversion of a comma-separated list (or a single value) to a tuple."""
-    return lambda value: tuple(map(convert, value if isinstance(value, tuple) else (value,)))
+    return lambda text: tuple(convert(item.strip()) for item in text.split(","))
 
 
-# config key -> (conversion of its parsed value, required).  Every key but
-# alpha, which goes to the Kernel, is the ExperimentConfig field of that name;
+# config key -> (conversion of its text, required).  Every key but alpha,
+# which goes to the Kernel, is the ExperimentConfig field of that name;
 # required keys are checked in this order.
 _CONFIG_KEYS = {
     "kernel": (str, True),
@@ -331,14 +324,16 @@ def load_config(path) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file (lists are comma-separated).
 
     The recognized keys are those of ``_CONFIG_KEYS``; alpha is for
-    skew_gaussian only.  Missing, unknown or repeated keys raise ConfigError
-    naming the key; absent optional keys take the ExperimentConfig defaults.
+    skew_gaussian only.  Each value is converted from its text by its key as
+    its line is read.  Missing, unknown or repeated keys and unconvertible
+    values raise ConfigError naming the key (and ``path:line`` for a line);
+    absent optional keys take the ExperimentConfig defaults.
     """
-    entries: dict = {}
-    lines_of: dict = {}
+    values, lines_of = {}, {}  # key -> converted value, key -> its line
     try:
-        lines = open(path).read().splitlines()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for ln, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0].strip()
@@ -346,29 +341,21 @@ def load_config(path) -> ExperimentConfig:
             continue
         if "=" not in body:
             raise ConfigError(f"{path}:{ln}: expected 'key = value', got {line!r}")
-        key, _, value = body.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, text = (part.strip() for part in body.partition("="))
         if key in lines_of:
             raise ConfigError(f"{path}:{ln}: config key {key!r} is already set on line {lines_of[key]}")
-        lines_of[key] = ln
-        if "," in value:
-            entries[key] = tuple(_parse_scalar(v.strip()) for v in value.split(","))
-        else:
-            entries[key] = _parse_scalar(value)
-
-    for key in entries:
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"{path}:{ln}: unknown config key {key!r}")
+        lines_of[key] = ln
+        try:
+            values[key] = _CONFIG_KEYS[key][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{ln}: invalid config value {text!r} for {key!r}: {exc}") from None
     for key, (_, required) in _CONFIG_KEYS.items():
-        if required and key not in entries:
+        if required and key not in values:
             raise ConfigError(f"missing config key {key!r}")
-
     try:
-        values = {key: _CONFIG_KEYS[key][0](value) for key, value in entries.items()}
         values["kernel"] = Kernel(values["kernel"], alpha=values.pop("alpha", None))
-        return ExperimentConfig(**values)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
+    return ExperimentConfig(**values)

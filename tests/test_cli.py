@@ -12,6 +12,9 @@ from contamix.mixture import MixtureParams, sample_mixture
 
 REPO = Path(__file__).resolve().parent.parent
 DESK_CONFIG = REPO / "configs" / "fig1_desk.config"
+# a small phase-transition study: config key -> text
+TINY_CONFIG = {"kernel": "gaussian", "n": "100", "lambda_star": "0.25", "nu_values": "0.5", "M": "3",
+               "replicates": "2", "master_seed": "1", "mode": "phase_transition"}
 
 
 def run_cli(*args):
@@ -21,6 +24,11 @@ def run_cli(*args):
         text=True,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def one_error_line(err):
+    """True when stderr is a single ``contamix: error:`` line, no traceback."""
+    return len(err.splitlines()) == 1 and err.startswith("contamix: error: ")
 
 
 def parse_kv(stdout):
@@ -77,6 +85,20 @@ class TestEstimate:
         assert code == 2
         assert "non-finite" in err
         assert "Traceback" not in err and out == ""
+
+    def test_non_utf8_data_file_data_error(self, tmp_path):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"0.1\n-0.4\n1.2\xff\n0.3\n")
+        code, out, err = run_cli("estimate", "--kernel", "gaussian", "--data", str(p), "--bound-m", "2")
+        assert code == 2
+        assert one_error_line(err) and "cannot read data file" in err and out == ""
+
+    def test_overflowing_bound_data_error(self, tmp_path):
+        p = tmp_path / "four.csv"
+        p.write_text("0.1\n-0.4\n1.2\n0.3\n")
+        code, out, err = run_cli("estimate", "--kernel", "gaussian", "--data", str(p), "--bound-m", "1e308")
+        assert code == 2
+        assert one_error_line(err) and "overflows" in err and out == ""
 
     def test_zero_bound_usage_error(self, gaussian_fixture):
         path, _ = gaussian_fixture
@@ -229,6 +251,14 @@ class TestCertify:
         assert code == 2
         assert "surface CSV" in err and str(out_csv) in err and "Traceback" not in err
 
+    def test_unwritable_surface_csv_prints_no_report(self, tmp_path):
+        out_csv = tmp_path / "no" / "surface.csv"
+        code, out, err = run_cli(
+            "certify", "--kernel", "gaussian", "--check", "kappa", "--out", str(out_csv)
+        )
+        assert code == 2
+        assert out == "" and one_error_line(err) and "surface CSV" in err
+
     def test_unknown_check_usage_error(self):
         code, _, _ = run_cli("certify", "--kernel", "gaussian", "--check", "everything")
         assert code == 1
@@ -331,6 +361,34 @@ class TestSimulate:
         code, out, err = run_cli("simulate", "--config", str(p), "--out", str(out_csv))
         assert code == 2
         assert named in err and "Traceback" not in err and out == ""
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("key", ["M", "lambda_star", "nu_values"])
+    def test_401_digit_value_is_config_error(self, tmp_path, key):
+        values = dict(TINY_CONFIG, **{key: "1" + "0" * 400})
+        p = tmp_path / "big.config"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli("simulate", "--config", str(p), "--out", str(out_csv))
+        assert code == 2
+        assert one_error_line(err) and out == "" and not out_csv.exists()
+
+    @pytest.mark.parametrize("key, text, line", [("n", "500.5", 2), ("M", "1, 2", 5)])
+    def test_bad_value_names_line_key_and_text(self, tmp_path, key, text, line):
+        values = dict(TINY_CONFIG, **{key: text})
+        p = tmp_path / "bad.config"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        code, _, err = run_cli("simulate", "--config", str(p), "--out", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert one_error_line(err) and f"bad.config:{line}: invalid config value {text!r} for {key!r}" in err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path):
+        p = tmp_path / "latin.config"
+        p.write_bytes(DESK_CONFIG.read_bytes() + b"# caf\xe9\n")
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli("simulate", "--config", str(p), "--out", str(out_csv))
+        assert code == 2
+        assert one_error_line(err) and "cannot read config" in err and out == ""
         assert not out_csv.exists()
 
     def test_raw_same_as_out_usage_error(self, tmp_path):
@@ -454,6 +512,27 @@ class TestInProcess:
         argv = ["simulate", "--config", str(p), "--out", str(tmp_path / "o.csv"), "--workers", "2"]
         assert cli_mod.main(argv) == 0
         assert threads == [threading.get_ident()] * 6
+
+    # an output path that is a directory or lies in a missing one is refused
+    # before the study runs; the other output is neither created nor truncated
+    @pytest.mark.parametrize(
+        "out, raw, kind",
+        [("kept.csv", "d", "raw"), ("d", "kept.csv", "summary"), ("kept.csv", "no/r.csv", "raw"),
+         ("new.csv", "no/r.csv", "raw")],
+        ids=["raw_is_dir", "out_is_dir", "raw_dir_missing", "raw_dir_missing_new_out"],
+    )
+    def test_unwritable_output_refused_before_the_study(self, tmp_path, monkeypatch, capsys, out, raw, kind):
+        from contamix import cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "run_experiment", lambda config: pytest.fail("the study ran"))
+        (tmp_path / "d").mkdir()
+        (tmp_path / "kept.csv").write_text("kept\n")
+        argv = ["simulate", "--config", str(DESK_CONFIG), "--out", str(tmp_path / out), "--raw", str(tmp_path / raw)]
+        assert cli_mod.main(argv) == 2
+        bad = tmp_path / (raw if kind == "raw" else out)
+        assert f"cannot write {kind} CSV {bad}" in capsys.readouterr().err
+        assert (tmp_path / "kept.csv").read_text() == "kept\n"
+        assert not (tmp_path / "new.csv").exists()
 
     def test_paper_preset_sets_replicates(self, tmp_path, monkeypatch):
         from contamix import cli as cli_mod

@@ -102,6 +102,12 @@ class TestBuildGrid:
             build_grid(n, M, d)
         assert str(levels_err.value) == str(grid_err.value)
 
+    # sqrt(n) past the float range, or M sqrt(n) = inf: refused, not OverflowError
+    @pytest.mark.parametrize("n, M", [(10 ** 400, 10.0), (4, 1e308)], ids=["huge_n", "huge_M"])
+    def test_float_overflow_is_value_error(self, n, M):
+        with pytest.raises(ValueError, match="overflows a float"):
+            estimator.grid_levels(n, M, 1)
+
     def test_mu_level_bound_before_allocation(self):
         # 4e8 mu levels on 8e8 grid points, under the point bound
         tracemalloc.start()

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -296,6 +298,32 @@ class TestConfigFile:
         assert facts == self.BUNDLED[path.name]
         assert (cfg.kernel, cfg.lambda_star, cfg.M, cfg.master_seed) == (GAUSS, 0.25, 10.0, 20260809)
 
+    # a value of a bundled config in another accepted text form, and the
+    # fields that form changes; the config loads with the same value types
+    @pytest.mark.parametrize(
+        "name, old, new, changed",
+        [
+            ("fig1_desk.config", "n = 1000", "n = 1e3", {}),
+            ("fig1_desk.config", "n = 1000", "n = 1000.0", {}),
+            ("fig1_desk.config", "M = 10", "M = 1e1", {}),
+            ("fig1_desk.config", "master_seed = 20260809", "master_seed = 20_260_809", {}),
+            ("fig1_desk.config", "master_seed = 20260809", "master_seed = 18446744073709551615",
+             {"master_seed": 2 ** 64 - 1}),
+            ("fig1_desk.config", ", 0.125, ", "  ,0.125 ,   ", {}),
+            ("rate_scaling.config", "replicates = 200", "replicates = 2e2", {}),
+            ("rate_scaling.config", "500, 2000, 8000", " 500 ,2000.0,  8e3  ", {}),
+        ],
+        ids=["exponent", "point_zero", "float_exponent", "underscores", "seed_2_to_64_less_1",
+             "nu_list_spaces", "replicates_exponent", "n_list_forms"],
+    )
+    def test_accepted_text_forms(self, tmp_path, name, old, new, changed):
+        text = (CONFIG_DIR / name).read_text()
+        assert text.count(old) == 1
+        p = tmp_path / name
+        p.write_text(text.replace(old, new))
+        want = dataclasses.replace(load_config(CONFIG_DIR / name), **changed)
+        assert repr(load_config(p)) == repr(want)
+
     REQUIRED = (
         ("kernel", "gaussian"), ("n", "100"), ("lambda_star", "0.25"), ("M", "3"),
         ("replicates", "2"), ("master_seed", "1"), ("mode", "phase_transition"),
@@ -341,6 +369,35 @@ class TestConfigFile:
             load_config(p)
         p.write_text(body + "nu_values = 0.5\nn_values = 500.0, 2000\n")
         assert load_config(p).n_values == (500, 2000)
+
+    # a float of 401 digits is inf: refused by the range checks
+    @pytest.mark.parametrize(
+        "key, refusal",
+        [("M", "M must be positive and finite"), ("lambda_star", r"lambda_star must lie in \(0, 1\)"),
+         ("nu_values", r"nu values must lie in \(0, 1\]")],
+        ids=["M", "lambda_star", "nu_values"],
+    )
+    def test_401_digit_value_is_config_error(self, tmp_path, key, refusal):
+        p = tmp_path / "c.config"
+        values = dict(self.REQUIRED, nu_values="0.5")
+        values[key] = "1" + "0" * 400
+        p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(ConfigError, match=refusal):
+            load_config(p)
+
+    @pytest.mark.parametrize("key, text, line", [("n", "500.5", 2), ("M", "1, 2", 4)])
+    def test_bad_value_names_line_key_and_text(self, tmp_path, key, text, line):
+        p = tmp_path / "c.config"
+        p.write_text("".join(f"{k} = {text if k == key else v}\n" for k, v in self.REQUIRED))
+        want = f"c.config:{line}: invalid config value {text!r} for {key!r}"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            load_config(p)
+
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        p = tmp_path / "c.config"
+        p.write_bytes(b"".join(f"{k} = {v}\n".encode() for k, v in self.REQUIRED) + b"# \xff\n")
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(p)
 
     # studies take quadrature inner products only, so inner_method is unknown:
     # Monte-Carlo ones go through estimate(..., inner_products=)
