@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
-"""Run a phase-transition study and write the summary / raw CSVs.
+"""Run a phase-transition study and print its MSE table.
 
-Defaults to the bundled desk-scale config; point --config at
-configs/fig1_full.config for the full protocol (n = 5000, 1000 replicates
-per nu; 34-37 s through `contamix simulate` in two runs on a shared two-core
-host with Python 3.11.7, numpy 2.4.6).  Replicates run one after another on
-the calling thread, and the CSVs are those of `contamix simulate` on the
-same config.
+The study is `contamix simulate` on --config (default: the desk-scale config;
+configs/fig1_full.config is the full protocol, timed in README "Experiment
+configs"), --out and --raw, so its CSVs, checks and exit codes are
+simulate's; the table is read back from the summary CSV.
 """
 
 import argparse
+import csv
+import sys
 from pathlib import Path
 
-from contamix.simharness import emit_csv, load_config, run_experiment
+from contamix import cli
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -24,16 +24,15 @@ def main():
     ap.add_argument("--raw", default="phase_raw.csv")
     args = ap.parse_args()
 
-    config = load_config(args.config)
-    print(f"kernel={config.kernel.family} n={config.n} replicates={config.replicates} "
-          f"cells={len(config.cells())}")
-    result = run_experiment(config)
-    emit_csv(result, args.out, args.raw)
+    code = cli.main(["simulate", "--config", args.config, "--out", args.out, "--raw", args.raw])
+    if code:
+        return code
     print(f"{'nu':>8} {'mu_star':>9} {'mse_lambda':>12} {'mse_mu':>12}")
-    for row in result.rows:
-        print(f"{row.nu:8.4f} {row.mu_star:9.4f} {row.mse_lambda:12.6g} {row.mse_mu:12.6g}")
-    print(f"wrote {args.out} and {args.raw}")
+    with open(args.out, newline="") as fh:
+        for row in csv.DictReader(fh):
+            nu, mu, mse_l, mse_m = (float(row[k]) for k in ("nu", "mu_star", "mse_lambda", "mse_mu"))
+            print(f"{nu:8.4f} {mu:9.4f} {mse_l:12.6g} {mse_m:12.6g}")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

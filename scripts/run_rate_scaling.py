@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Rate-scaling study: fixed (lambda*, mu*), growing n.
 
-Prints the normalized quantities n * MSE / log^2(n), which stay near-constant
-when the estimator attains the log^2(n)/n rate for both parameters.
-Replicates run one after another on the calling thread, and the CSVs are
-those of `contamix simulate` on the same config.
+Prints n * MSE / log^2(n) for both parameters, near-constant at the
+log^2(n)/n rate.  The study is `contamix simulate` on --config, --out and
+--raw, so its CSVs, checks and exit codes are simulate's.
 """
 
 import argparse
+import csv
 import math
+import sys
 from pathlib import Path
 
-from contamix.simharness import emit_csv, load_config, run_experiment
+from contamix import cli
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -23,16 +24,16 @@ def main():
     ap.add_argument("--raw", default="rate_raw.csv")
     args = ap.parse_args()
 
-    config = load_config(args.config)
-    result = run_experiment(config)
-    emit_csv(result, args.out, args.raw)
+    code = cli.main(["simulate", "--config", args.config, "--out", args.out, "--raw", args.raw])
+    if code:
+        return code
     print(f"{'n':>6} {'mse_lambda':>12} {'mse_mu':>12} {'n*mse_l/log^2':>14} {'n*mse_m/log^2':>14}")
-    for row in result.rows:
-        norm = math.log(row.n) ** 2
-        print(f"{row.n:6d} {row.mse_lambda:12.6g} {row.mse_mu:12.6g} "
-              f"{row.n * row.mse_lambda / norm:14.4f} {row.n * row.mse_mu / norm:14.4f}")
-    print(f"wrote {args.out} and {args.raw}")
+    with open(args.out, newline="") as fh:
+        for row in csv.DictReader(fh):
+            n, mse_l, mse_m = int(row["n"]), float(row["mse_lambda"]), float(row["mse_mu"])
+            norm = math.log(n) ** 2
+            print(f"{n:6d} {mse_l:12.6g} {mse_m:12.6g} {n * mse_l / norm:14.4f} {n * mse_m / norm:14.4f}")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

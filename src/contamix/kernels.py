@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import bisect
 import functools
 import math
-import operator
 import threading
 
 import numpy as np
@@ -144,16 +143,12 @@ def _erfc_monotone(t: np.ndarray) -> None:
     if not (math.isfinite(t[0]) and math.isfinite(t[-1])):
         erfc(t, out=t)
         return
-    if t[0] <= t[-1]:
-        lo = bisect.bisect_left(t, ERFC_TWO_BELOW)
-        hi = bisect.bisect_right(t, ERFC_ZERO_ABOVE, lo)
-        t[:lo] = 2.0
-        t[hi:] = 0.0
-    else:  # -t ascends
-        lo = bisect.bisect_left(t, -ERFC_ZERO_ABOVE, key=operator.neg)
-        hi = bisect.bisect_right(t, -ERFC_TWO_BELOW, lo, key=operator.neg)
-        t[:lo] = 0.0
-        t[hi:] = 2.0
+    if t[0] > t[-1]:
+        t = t[::-1]  # an ascending view: the fills and erfc write through it
+    lo = bisect.bisect_left(t, ERFC_TWO_BELOW)
+    hi = bisect.bisect_right(t, ERFC_ZERO_ABOVE, lo)
+    t[:lo] = 2.0
+    t[hi:] = 0.0
     middle = t[lo:hi]
     erfc(middle, out=middle)
 

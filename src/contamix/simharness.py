@@ -48,6 +48,10 @@ class ConfigError(ValueError):
 
 DEFAULT_NU_LADDER = tuple(a / 24 for a in range(1, 25))
 
+# The most (cell, replicate) tasks a study may hold: it keeps every estimate,
+# about 160 B each and 370 B at the peak, so 10^6 tasks peak near 0.4 GB.
+MAX_TASKS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -67,8 +71,6 @@ class ExperimentConfig:
             raise ConfigError("experiments are one-dimensional")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
         if not 0.0 < self.lambda_star < 1.0:
             raise ConfigError("lambda_star must lie in (0, 1)")
         if not 0 <= self.master_seed < 2 ** 64:  # _mix64 would alias a larger seed
@@ -76,8 +78,6 @@ class ExperimentConfig:
         if self.mode == "phase_transition":
             if not self.nu_values:
                 object.__setattr__(self, "nu_values", DEFAULT_NU_LADDER)
-            if any(not 0.0 < nu <= 1.0 for nu in self.nu_values):
-                raise ConfigError("nu values must lie in (0, 1]")
             if self.n_values is not None:
                 raise ConfigError("n_values is for rate_scaling; phase_transition runs every cell at n")
         else:
@@ -87,6 +87,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     "rate_scaling needs mu_star_override or a single nu value"
                 )
+        if any(not 0.0 < nu <= 1.0 for nu in self.nu_values):
+            raise ConfigError("nu values must lie in (0, 1]")
+        most = MAX_TASKS // len(self.cells())
+        if not 1 <= self.replicates <= most:
+            raise ConfigError(f"replicates must lie in [1, {most}] (MAX_TASKS = {MAX_TASKS} over all cells)")
         for n in sorted({n for _, _, n in self.cells()}):
             try:
                 grid_levels(n, self.M, 1)

@@ -363,7 +363,7 @@ class TestSimulate:
         assert named in err and "Traceback" not in err and out == ""
         assert not out_csv.exists()
 
-    @pytest.mark.parametrize("key", ["M", "lambda_star", "nu_values"])
+    @pytest.mark.parametrize("key", ["M", "lambda_star", "nu_values", "replicates"])
     def test_401_digit_value_is_config_error(self, tmp_path, key):
         values = dict(TINY_CONFIG, **{key: "1" + "0" * 400})
         p = tmp_path / "big.config"
@@ -372,6 +372,17 @@ class TestSimulate:
         code, out, err = run_cli("simulate", "--config", str(p), "--out", str(out_csv))
         assert code == 2
         assert one_error_line(err) and out == "" and not out_csv.exists()
+
+    @pytest.mark.parametrize("nu", ["1e400", "0"])
+    def test_rate_scaling_nu_outside_unit_interval_is_config_error(self, tmp_path, nu):
+        values = dict(TINY_CONFIG, mode="rate_scaling", nu_values=nu, n_values="100")
+        p = tmp_path / "rate.config"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli("simulate", "--config", str(p), "--out", str(out_csv))
+        assert code == 2
+        assert one_error_line(err) and "nu values must lie in (0, 1]" in err
+        assert out == "" and not out_csv.exists()
 
     @pytest.mark.parametrize("key, text, line", [("n", "500.5", 2), ("M", "1, 2", 5)])
     def test_bad_value_names_line_key_and_text(self, tmp_path, key, text, line):
@@ -554,3 +565,70 @@ class TestInProcess:
         out = tmp_path / "o.csv"
         assert cli_mod.main(["simulate", "--config", str(p), "--out", str(out), "--paper"]) == 0
         assert seen["replicates"] == 1000
+
+    def test_paper_preset_keeps_the_task_bound(self, tmp_path, monkeypatch, capsys):
+        from contamix import cli as cli_mod
+
+        # 1001 cells load at 2 replicates; 1000 replicates on each would pass MAX_TASKS
+        nus = ", ".join(str(i / 1001) for i in range(1, 1002))
+        p = tmp_path / "wide.config"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in dict(TINY_CONFIG, nu_values=nus).items()))
+        monkeypatch.setattr(cli_mod, "run_experiment", lambda config: pytest.fail("the study ran"))
+        out = tmp_path / "o.csv"
+        assert cli_mod.main(["simulate", "--config", str(p), "--out", str(out), "--paper"]) == 2
+        assert "replicates must lie in [1, 999]" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestScripts:
+    """The study scripts run `contamix simulate` and print a table from its summary CSV."""
+
+    CONFIGS = {
+        "run_phase_transition.py": dict(TINY_CONFIG, nu_values="0.25, 0.5"),
+        "run_rate_scaling.py": dict(TINY_CONFIG, mode="rate_scaling", n_values="100, 200", mu_star_override="1.0"),
+    }
+
+    def run_script(self, script, config, out, raw):
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / script), "--config", str(config), "--out", str(out),
+             "--raw", str(raw)],
+            capture_output=True,
+            text=True,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def write_config(self, tmp_path, values):
+        p = tmp_path / "study.config"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        return p
+
+    @pytest.mark.parametrize("script", sorted(CONFIGS))
+    def test_same_csvs_as_simulate_and_one_row_per_cell(self, tmp_path, script):
+        p = self.write_config(tmp_path, self.CONFIGS[script])
+        code, out, err = self.run_script(script, p, tmp_path / "s.csv", tmp_path / "r.csv")
+        assert code == 0 and err == ""
+        code, _, _ = run_cli("simulate", "--config", str(p), "--out", str(tmp_path / "cli_s.csv"),
+                             "--raw", str(tmp_path / "cli_r.csv"))
+        assert code == 0
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "cli_s.csv").read_bytes()
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "cli_r.csv").read_bytes()
+        # simulate's summary= and raw= lines, the table header, one row per cell
+        lines = out.splitlines()
+        assert lines[:2] == [f"summary={tmp_path / 's.csv'}", f"raw={tmp_path / 'r.csv'}"]
+        assert len(lines) == 3 + 2
+
+    @pytest.mark.parametrize("script", sorted(CONFIGS))
+    def test_failed_config_check_exits_2(self, tmp_path, script):
+        p = self.write_config(tmp_path, dict(self.CONFIGS[script], lambda_star="1.5"))
+        code, out, err = self.run_script(script, p, tmp_path / "s.csv", tmp_path / "r.csv")
+        assert code == 2
+        assert one_error_line(err) and "lambda_star" in err and out == ""
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("script", sorted(CONFIGS))
+    def test_raw_in_missing_directory_exits_2_before_the_study(self, tmp_path, script):
+        p = self.write_config(tmp_path, self.CONFIGS[script])
+        code, out, err = self.run_script(script, p, tmp_path / "s.csv", tmp_path / "no" / "r.csv")
+        assert code == 2
+        assert one_error_line(err) and "cannot write raw CSV" in err and out == ""
+        assert not (tmp_path / "s.csv").exists()

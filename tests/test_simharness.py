@@ -79,6 +79,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(replicates=0)
 
+    def test_task_bound(self):
+        # two cells: the bound falls on replicates = MAX_TASKS / 2
+        most = simharness.MAX_TASKS // 2
+        assert small_config(replicates=most).replicates == most
+        with pytest.raises(ConfigError, match=rf"replicates must lie in \[1, {most}\]"):
+            small_config(replicates=most + 1)
+
     def test_rate_scaling_needs_n_values(self):
         with pytest.raises(ConfigError):
             small_config(mode="rate_scaling")
@@ -370,12 +377,14 @@ class TestConfigFile:
         p.write_text(body + "nu_values = 0.5\nn_values = 500.0, 2000\n")
         assert load_config(p).n_values == (500, 2000)
 
-    # a float of 401 digits is inf: refused by the range checks
+    # a float of 401 digits is inf, and an int of 401 digits is past the task
+    # bound: refused by the range checks
     @pytest.mark.parametrize(
         "key, refusal",
         [("M", "M must be positive and finite"), ("lambda_star", r"lambda_star must lie in \(0, 1\)"),
-         ("nu_values", r"nu values must lie in \(0, 1\]")],
-        ids=["M", "lambda_star", "nu_values"],
+         ("nu_values", r"nu values must lie in \(0, 1\]"),
+         ("replicates", r"replicates must lie in \[1, 1000000\]")],
+        ids=["M", "lambda_star", "nu_values", "replicates"],
     )
     def test_401_digit_value_is_config_error(self, tmp_path, key, refusal):
         p = tmp_path / "c.config"
@@ -383,6 +392,15 @@ class TestConfigFile:
         values[key] = "1" + "0" * 400
         p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         with pytest.raises(ConfigError, match=refusal):
+            load_config(p)
+
+    # one nu rule for both modes: rate_scaling's single nu sets its shift
+    @pytest.mark.parametrize("nu", ["1e400", "0"])
+    def test_rate_scaling_nu_outside_unit_interval(self, tmp_path, nu):
+        p = tmp_path / "c.config"
+        body = "".join(f"{k} = {v}\n" for k, v in self.REQUIRED).replace("phase_transition", "rate_scaling")
+        p.write_text(body + f"nu_values = {nu}\nn_values = 100\n")
+        with pytest.raises(ConfigError, match=r"nu values must lie in \(0, 1\]"):
             load_config(p)
 
     @pytest.mark.parametrize("key, text, line", [("n", "500.5", 2), ("M", "1, 2", 4)])
