@@ -134,24 +134,19 @@ def scan_cs_ratio(
         raise ValueError(f"steps {steps} give a degenerate grid")
     pos = np.linspace(range_ / half, range_, half)
     axis = np.concatenate([-pos[::-1], pos])
-    a = axis[:, None] + np.zeros_like(axis)[None, :]
-    b = np.zeros_like(axis)[:, None] + axis[None, :]
+    a, b = np.meshgrid(axis, axis, indexing="ij")
     s = self_inner(kernel)
     ca = cross_inner_many(kernel, axis)
-    c_a = ca[:, None] + np.zeros(axis.shape[0])[None, :]
-    c_b = np.zeros(axis.shape[0])[:, None] + ca[None, :]
+    c_a, c_b = ca[:, None], ca[None, :]
     c_ab = cross_inner_many(kernel, a + b)
-    num = np.abs(c_ab - c_a - c_b + s)
-    den = 2.0 * np.sqrt((s - c_a) * (s - c_b))
-    ratio = num / den
+    ratio = np.abs(c_ab - c_a - c_b + s) / (2.0 * np.sqrt((s - c_a) * (s - c_b)))
     diag = (a + b) == 0.0
-
     off = np.abs(a + b) >= diagonal_margin
-    off_flat = np.flatnonzero(off.reshape(-1))
-    r_flat = ratio.reshape(-1)
-    k = off_flat[int(np.argmax(r_flat[off_flat]))]
-    max_off = float(r_flat[k])
-    point = (float(a.reshape(-1)[k]), float(b.reshape(-1)[k]))
+    if not off.any():
+        raise ValueError(f"diagonal_margin {diagonal_margin!r} leaves no grid point off the diagonal")
+    k = np.unravel_index(np.argmax(np.where(off, ratio, -np.inf)), ratio.shape)
+    max_off = float(ratio[k])
+    point = (float(a[k]), float(b[k]))
 
     shift_norm_sq = np.maximum(2.0 * (s - c_ab), _CS_DENOM_FLOOR)
     fit = (1.0 - ratio) / shift_norm_sq
@@ -172,7 +167,7 @@ def scan_cs_ratio(
             "diag_max_abs_dev": diag_dev,
         },
         surface_columns=("a", "b", "ratio"),
-        surface=np.column_stack([a.reshape(-1), b.reshape(-1), r_flat]),
+        surface=np.column_stack([a.reshape(-1), b.reshape(-1), ratio.reshape(-1)]),
     )
 
 

@@ -16,12 +16,23 @@ from .estimator import estimate, grid_levels
 from .kernels import FAMILIES, Kernel, cross_inner
 from .metrics import w1, w2_squared
 from .mixture import MixtureParams
-from .simharness import ConfigError, _fmt, emit_csv, load_config, run_experiment, write_csv
+from .simharness import ConfigError, emit_csv, load_config, run_experiment, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CERTIFY = 3
+
+
+def _fmt(value) -> str:
+    """Shortest round-trip decimal for floats, true/false for bools, str
+    otherwise: the ``key=value`` record format."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
 
 # `contamix certify`: check -> (certify function, its default scan settings).
 # The function is looked up by name when the scan runs, so a wrapped

@@ -338,7 +338,7 @@ def sample_with_rng(kernel: Kernel, count: int, rng: np.random.Generator) -> np.
     Laplace and Cauchy go through the inverse CDF; the skew-Gaussian uses the
     representation  X = delta |Z1| + sqrt(1 - delta^2) Z2  with
     delta = alpha / sqrt(1 + alpha^2)  and Z1, Z2 independent standard normals
-    (Z1 drawn first).
+    (Z1 drawn first); any finite nonzero alpha is accepted.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -354,7 +354,9 @@ def sample_with_rng(kernel: Kernel, count: int, rng: np.random.Generator) -> np.
         u = rng.random(count)
         return np.tan(math.pi * (u - 0.5))
     z = rng.standard_normal((count, 2))
-    delta = kernel.alpha / math.sqrt(1.0 + kernel.alpha ** 2)
+    alpha = kernel.alpha
+    # alpha ** 2 overflows from |alpha| about 1.34e154 on; the quotient is exactly +-1 from 1e9 on
+    delta = alpha / math.sqrt(1.0 + alpha ** 2) if abs(alpha) < 1e154 else math.copysign(1.0, alpha)
     return delta * np.abs(z[:, 0]) + math.sqrt(1.0 - delta ** 2) * z[:, 1]
 
 

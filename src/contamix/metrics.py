@@ -16,8 +16,7 @@ import math
 
 import numpy as np
 
-from .kernels import Kernel
-from .mixture import MixtureParams, _pair_arrays, l2_distance_sq
+from .mixture import MixtureParams, _pair_arrays
 
 __all__ = [
     "MixingDistribution",
@@ -25,7 +24,6 @@ __all__ = [
     "w2_squared_many",
     "w1",
     "transport_oracle",
-    "l2_over_w2sq_ratio",
 ]
 
 
@@ -105,23 +103,3 @@ def transport_oracle(g1: MixingDistribution, g2: MixingDistribution, p: int) -> 
     hi = a.lam
     costs = [(b.lam - q) * nv + (a.lam - q) * nu + q * nw for q in (lo, hi)]
     return min(costs)
-
-
-def l2_over_w2sq_ratio(
-    kernel: Kernel, theta1: MixtureParams, theta2: MixtureParams
-) -> float:
-    """||f_theta1 - f_theta2||_2 / W2^2 between the corresponding mixing measures.
-
-    Returns +inf when both quantities vanish (coinciding mixing measures).
-    W2^2 = 0 with a positive L2 distance would contradict identifiability and
-    raises instead of returning a value.
-    """
-    dist = math.sqrt(l2_distance_sq(kernel, theta1, theta2))
-    w2 = w2_squared(theta1, theta2)
-    if w2 == 0.0:
-        if dist <= 1e-12:
-            return math.inf
-        raise ValueError(
-            f"W2^2 is zero but the L2 distance is {dist}; numerical fault"
-        )
-    return dist / w2

@@ -3,11 +3,11 @@
 An experiment is a declarative config: a kernel, a true contamination level
 lambda_star, and either a list of difficulty exponents nu (phase_transition
 mode, fixed n, shift mu_star = sqrt(1 / (lambda_star n^nu))) or a list of
-sample sizes (rate_scaling mode, fixed shift via ``mu_star_override``).  Every
-(cell, replicate) pair is an independent work item whose RNG seed is derived
-from (master_seed, cell_index, rep_index) by a splitmix-style 64-bit mix, so
-results are reproducible replicate-by-replicate and independent of the order
-in which the replicates run.
+sample sizes (rate_scaling mode, fixed shift via ``mu_star_override`` or a
+single nu).  Every (cell, replicate) pair is an independent work item whose
+RNG seed is derived from (master_seed, cell_index, rep_index) by a
+splitmix-style 64-bit mix, so results are reproducible replicate-by-replicate
+and independent of the order in which the replicates run.
 
 Outputs: a summary table of per-cell mean squared errors and the raw
 per-replicate estimates, both writable as CSV.  The summary header is
@@ -83,9 +83,9 @@ class ExperimentConfig:
         else:
             if not self.n_values:
                 raise ConfigError("rate_scaling needs a nonempty n_values list")
-            if self.mu_star_override is None and len(self.nu_values) != 1:
+            if len(self.nu_values) != (1 if self.mu_star_override is None else 0):
                 raise ConfigError(
-                    "rate_scaling needs mu_star_override or a single nu value"
+                    "rate_scaling takes either mu_star_override or a single value in nu_values, not both"
                 )
         if any(not 0.0 < nu <= 1.0 for nu in self.nu_values):
             raise ConfigError("nu values must lie in (0, 1]")
@@ -226,16 +226,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 # ----------------------------- CSV emission -----------------------------
-
-
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats, true/false for bools, str
-    otherwise: the CLI's ``key=value`` record format."""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 # Rows per block when ``write_csv`` formats a float array: each block holds

@@ -208,6 +208,7 @@ def test_criterion_7_worker_determinism(tmp_path):
              "--config", str(config), "--out", str(s), "--raw", str(r),
              "--workers", str(workers)],
             capture_output=True,
+            timeout=600,
         )
         assert proc.returncode == 0, proc.stderr.decode()
         outputs[workers] = (s.read_bytes(), r.read_bytes())

@@ -129,6 +129,12 @@ class TestCsRatio:
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             scan_cs_ratio(GAUSS, range_, 40, margin)
 
+    def test_refuses_a_margin_that_leaves_no_off_diagonal_point(self):
+        # |a + b| reaches 2 range = 10 at the grid's corners and no further
+        assert scan_cs_ratio(GAUSS, 5.0, 40, 10.0).extremal_point == (-5.0, -5.0)
+        with pytest.raises(ValueError, match="^diagonal_margin 10.5 leaves no grid point off the diagonal$"):
+            scan_cs_ratio(GAUSS, 5.0, 40, 10.5)
+
     def test_reproducible(self):
         assert reports_equal(scan_cs_ratio(GAUSS, 5.0, 60, 0.2), scan_cs_ratio(GAUSS, 5.0, 60, 0.2))
 

@@ -15,6 +15,9 @@ DESK_CONFIG = REPO / "configs" / "fig1_desk.config"
 # a small phase-transition study: config key -> text
 TINY_CONFIG = {"kernel": "gaussian", "n": "100", "lambda_star": "0.25", "nu_values": "0.5", "M": "3",
                "replicates": "2", "master_seed": "1", "mode": "phase_transition"}
+# a small rate-scaling study at a fixed shift, so with no nu_values
+TINY_RATE_CONFIG = dict({k: v for k, v in TINY_CONFIG.items() if k != "nu_values"}, mode="rate_scaling",
+                        n_values="100, 200", mu_star_override="1.0")
 
 
 def run_cli(*args):
@@ -22,6 +25,7 @@ def run_cli(*args):
         [sys.executable, "-m", "contamix.cli", *args],
         capture_output=True,
         text=True,
+        timeout=600,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -170,6 +174,16 @@ class TestWasserstein:
         assert code == 1
         assert out == ""
         assert "--mu1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "mu1, said",
+        [("1,2", "--mu1 and --mu2 have different dimensions (2 vs 1)"),
+         ("abc", "--mu1: expected comma-separated numbers, got 'abc'")],
+    )
+    def test_unusable_shift_usage_error(self, mu1, said):
+        code, out, err = run_cli("wasserstein", "--lambda1", "0.2", "--mu1", mu1, "--lambda2", "0.3", "--mu2", "1")
+        assert code == 1 and out == ""
+        assert one_error_line(err) and said in err
 
     def test_vector_shifts(self):
         code, out, _ = run_cli(
@@ -348,8 +362,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "line, named",
-        [("master_seed = 18446744073709551616", "master_seed"), ("inner_method = mc", "inner_method")],
-        ids=["seed_2_to_64", "inner_method"],
+        [("master_seed = 18446744073709551616", "master_seed"), ("inner_method = mc", "inner_method"),
+         ("master_seed 1", "expected 'key = value'"),
+         ("alpha = 2\nmaster_seed = 1", "alpha is only meaningful for skew_gaussian")],
+        ids=["seed_2_to_64", "inner_method", "no_equals_sign", "alpha_with_gaussian"],
     )
     def test_refused_config_line_is_config_error(self, tmp_path, line, named):
         p = tmp_path / "refused.config"
@@ -401,6 +417,32 @@ class TestSimulate:
         assert code == 2
         assert one_error_line(err) and "cannot read config" in err and out == ""
         assert not out_csv.exists()
+
+    # rate_scaling takes either mu_star_override or a single nu value
+    @pytest.mark.parametrize(
+        "values",
+        [dict(TINY_RATE_CONFIG, nu_values="0.5"),
+         dict(TINY_CONFIG, mode="rate_scaling", n_values="100", nu_values="0.25, 0.5")],
+        ids=["nu_and_override", "two_nu"],
+    )
+    def test_rate_scaling_nu_values_refused_is_config_error(self, tmp_path, values):
+        p = tmp_path / "rate.config"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli("simulate", "--config", str(p), "--out", str(out_csv))
+        assert code == 2
+        assert one_error_line(err) and "nu_values" in err and out == "" and not out_csv.exists()
+
+    def test_skew_alpha_past_the_overflow_of_its_square(self, tmp_path):
+        # alpha ** 2 overflows for |alpha| from about 1.34e154 on; sampling takes delta = 1
+        values = dict(TINY_RATE_CONFIG, kernel="skew_gaussian", alpha="1e200")
+        p = tmp_path / "skew.config"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out_csv = tmp_path / "o.csv"
+        code, out, err = run_cli("simulate", "--config", str(p), "--out", str(out_csv))
+        assert (code, err) == (0, "")
+        assert out == f"summary={out_csv}\n"
+        assert len(out_csv.read_text().splitlines()) == 3
 
     def test_raw_same_as_out_usage_error(self, tmp_path):
         (tmp_path / "sub").mkdir()
@@ -585,7 +627,7 @@ class TestScripts:
 
     CONFIGS = {
         "run_phase_transition.py": dict(TINY_CONFIG, nu_values="0.25, 0.5"),
-        "run_rate_scaling.py": dict(TINY_CONFIG, mode="rate_scaling", n_values="100, 200", mu_star_override="1.0"),
+        "run_rate_scaling.py": TINY_RATE_CONFIG,
     }
 
     def run_script(self, script, config, out, raw):
@@ -594,6 +636,7 @@ class TestScripts:
              "--raw", str(raw)],
             capture_output=True,
             text=True,
+            timeout=600,
         )
         return proc.returncode, proc.stdout, proc.stderr
 

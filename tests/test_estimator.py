@@ -688,16 +688,28 @@ class TestSkewLatticeInner:
             assert plan.inner_err < 1e-6
 
     def test_huge_alpha_recomputes_every_column(self, monkeypatch):
-        # the lattice cannot resolve Psi(1e4 t) at n = 16: e is useless and
-        # every column gets its Simpson value, as the direct path does
-        kernel = Kernel("skew_gaussian", alpha=1e4)
+        # the lattice cannot resolve Psi(alpha t) at n = 16: e is useless and
+        # every column gets its Simpson value, as the direct path does.  From
+        # alpha 1e20 on the skew tables overflow (as estimate's errstate
+        # allows), and the plan's guard must turn the bound e into inf
         grid = build_grid(16, 2.0, 1)
-        plan = estimator._grid_plan(kernel, grid)
-        assert not plan.inner_err < 1.0
-        data = sample_mixture(kernel, MixtureParams(0.3, 1.0), 16, seed=11)
         sizes = spy_precompute(monkeypatch)
-        assert_lattice_scan_exact(data, 2.0, kernel)
-        assert sizes[-1] == grid.mu_levels.shape[0]
+        for alpha in (1e4, 1e20, -1e20, 1e200, -1e200):
+            sizes.clear()
+            kernel = Kernel("skew_gaussian", alpha=alpha)
+            data = sample_mixture(kernel, MixtureParams(0.3, 1.0), 16, seed=11)
+            table = precompute(kernel, grid, data)
+            val, i, j = estimator._scan_table(grid, table)
+            with np.errstate(over="ignore", invalid="ignore"):
+                plan = estimator._grid_plan(kernel, grid)
+                sums, eps = estimator._approximate(kernel, grid, data)[:2]
+            assert not plan.inner_err < 1.0
+            # an infinite bound stands for non-finite sums
+            assert eps == math.inf or np.max(np.abs(sums - table.shift_sums)) <= eps
+            res = estimate(kernel, data, 2.0)
+            assert (res.lambda_index, res.mu_index) == (i, j)
+            assert np.float64(res.contrast_value).tobytes() == np.float64(val).tobytes()
+            assert sizes[-1] == grid.mu_levels.shape[0]
 
     @pytest.mark.parametrize("alpha", [10.0, -0.5, 1e3])
     def test_tables_keep_the_erfc_expression_bits(self, alpha, monkeypatch):

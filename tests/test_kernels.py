@@ -331,6 +331,21 @@ class TestSample:
         delta = 10.0 / math.sqrt(101.0)
         assert x.mean() == pytest.approx(delta * math.sqrt(2 / math.pi), abs=0.02)
 
+    # up to the largest alpha whose square is finite, and past it
+    @pytest.mark.parametrize(
+        "alpha", [0.5, -1e3, 1e9, -1e154, 1.3407807929942596e154, -1.3407807929942596e154, 1.35e154, -1e200, 1e308]
+    )
+    def test_skew_delta_for_any_finite_alpha(self, alpha):
+        # delta = alpha / sqrt(1 + alpha^2) wherever alpha^2 is finite, and
+        # its limit sign(alpha) past that
+        z = np.random.default_rng(6).standard_normal((50, 2))
+        if abs(alpha) <= 1.3407807929942596e154:
+            delta = alpha / math.sqrt(1.0 + alpha ** 2)
+        else:
+            delta = math.copysign(1.0, alpha)
+        want = delta * np.abs(z[:, 0]) + math.sqrt(1.0 - delta ** 2) * z[:, 1]
+        assert sample(Kernel("skew_gaussian", alpha=alpha), 50, seed=6).tobytes() == want.tobytes()
+
     def test_gaussian_dim(self):
         x = sample(Kernel("gaussian", dim=3), 50, seed=8)
         assert x.shape == (50, 3)
@@ -370,7 +385,9 @@ class TestQuadratureDefaults:
             f"print([kernels._skew_cross_quadrature(kernels.Kernel('skew_gaussian', 10.0), m) for m in {shifts}])"
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=600
+        )
         assert proc.stdout.strip() == repr([kernels._skew_cross_quadrature(SKEW, m) for m in shifts])
 
     def test_fill_allocates_no_array(self):
@@ -491,7 +508,7 @@ class TestOverflow:
         ):
             proc = subprocess.run(
                 [sys.executable, "-W", "error::RuntimeWarning", "-m", "contamix.cli", *argv],
-                capture_output=True, text=True, env=env,
+                capture_output=True, text=True, env=env, timeout=600,
             )
             assert proc.returncode == 0 and proc.stderr == "", proc.stderr
             stdout[argv[0]] = proc.stdout

@@ -6,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contamix.kernels import Kernel
 from contamix.metrics import (
     MixingDistribution,
-    l2_over_w2sq_ratio,
     transport_oracle,
     w1,
     w2_squared,
     w2_squared_many,
 )
-from contamix.mixture import MixtureParams, mixture_pdf_many
+from contamix.mixture import MixtureParams
 
-from conftest import EDGE_PAIRS, INVALID_PARAMS, random_pairs, simpson_oracle
-
-GAUSS = Kernel("gaussian")
+from conftest import EDGE_PAIRS, INVALID_PARAMS, random_pairs
 
 lam_st = st.floats(min_value=0.0, max_value=1.0)
 mu_st = st.floats(min_value=-5.0, max_value=5.0)
@@ -132,35 +128,6 @@ class TestOracleEquivalence:
             g2 = G(rng.uniform(), rng.uniform(-5, 5, size=3))
             assert abs(w2_squared(g1, g2) - transport_oracle(g1, g2, 2)) <= 1e-12
             assert abs(w1(g1, g2) - transport_oracle(g1, g2, 1)) <= 1e-12
-
-
-class TestL2OverW2:
-    def test_identical_flagged_infinite(self):
-        t = MixtureParams(0.3, 1.0)
-        assert l2_over_w2sq_ratio(GAUSS, t, t) == math.inf
-
-    def test_close_pair_matches_quadrature(self):
-        t1 = MixtureParams(0.3, 1.0)
-        t2 = MixtureParams(0.3, 1.1)
-        ratio = l2_over_w2sq_ratio(GAUSS, t1, t2)
-        dist = math.sqrt(
-            simpson_oracle(
-                lambda xs: (mixture_pdf_many(GAUSS, t1, xs) - mixture_pdf_many(GAUSS, t2, xs)) ** 2,
-                -16.0, 17.1, 2 ** 16,
-            )
-        )
-        w2 = w2_squared(G(0.3, 1.0), G(0.3, 1.1))
-        assert ratio == pytest.approx(dist / w2, rel=1e-6)
-
-    def test_finite_positive_on_distinct(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            t1 = MixtureParams(rng.uniform(0.1, 0.9), rng.uniform(0.25, 3.0))
-            t2 = MixtureParams(rng.uniform(0.1, 0.9), rng.uniform(0.25, 3.0))
-            if t1 == t2:
-                continue
-            r = l2_over_w2sq_ratio(GAUSS, t1, t2)
-            assert 0.0 < r < math.inf
 
 
 class TestW2Arrays:

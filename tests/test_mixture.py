@@ -115,13 +115,14 @@ class TestDistance:
         assert l2_distance_sq(any_kernel, t1, t2) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_quadrature(self):
+        # a distant pair, and a close one whose squared distance is only about 1.3e-4
         t1 = MixtureParams(0.3, 1.0)
-        t2 = MixtureParams(0.6, 2.0)
-        oracle = simpson_oracle(
-            lambda xs: (mixture_pdf_many(GAUSS, t1, xs) - mixture_pdf_many(GAUSS, t2, xs)) ** 2,
-            -20.0, 22.0, 2 ** 15,
-        )
-        assert abs(l2_distance_sq(GAUSS, t1, t2) - oracle) < 1e-8
+        for t2 in (MixtureParams(0.6, 2.0), MixtureParams(0.3, 1.1)):
+            oracle = simpson_oracle(
+                lambda xs: (mixture_pdf_many(GAUSS, t1, xs) - mixture_pdf_many(GAUSS, t2, xs)) ** 2,
+                -20.0, 22.0, 2 ** 15,
+            )
+            assert l2_distance_sq(GAUSS, t1, t2) == pytest.approx(oracle, rel=1e-7, abs=0.0)
 
     @given(lam_st, mu_st, lam_st, mu_st)
     @settings(max_examples=200, deadline=None)

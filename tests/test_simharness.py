@@ -60,10 +60,10 @@ class TestConfig:
     @pytest.mark.parametrize("mu", [-20.0, 3.5, math.nan, math.inf])
     def test_override_outside_bound_rejected(self, mu):
         with pytest.raises(ConfigError, match="outside"):
-            small_config(mode="rate_scaling", n_values=(100,), mu_star_override=mu)
+            small_config(mode="rate_scaling", n_values=(100,), mu_star_override=mu, nu_values=())
 
     def test_override_at_negative_bound_accepted(self):
-        cfg = small_config(mode="rate_scaling", n_values=(100,), mu_star_override=-3.0)
+        cfg = small_config(mode="rate_scaling", n_values=(100,), mu_star_override=-3.0, nu_values=())
         assert cfg.mu_star(0.0, 100) == -3.0
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -101,11 +101,15 @@ class TestConfig:
 
     def test_cell_grids_validated(self):
         with pytest.raises(ConfigError, match="n=2"):
-            small_config(mode="rate_scaling", n_values=(2, 500), mu_star_override=1.0)
+            small_config(mode="rate_scaling", n_values=(2, 500), mu_star_override=1.0, nu_values=())
         with pytest.raises(ConfigError, match="n=3"):
             small_config(n=3)
         with pytest.raises(ConfigError, match="no estimation grid"):
             small_config(M=0.05)  # M sqrt(n) < 1: empty mu grid
+
+    def test_dim2_kernel_rejected(self):
+        with pytest.raises(ConfigError, match="^experiments are one-dimensional$"):
+            small_config(kernel=Kernel("gaussian", dim=2))
 
     def test_nu_ladder_default(self):
         cfg = small_config(nu_values=())
@@ -401,6 +405,21 @@ class TestConfigFile:
         body = "".join(f"{k} = {v}\n" for k, v in self.REQUIRED).replace("phase_transition", "rate_scaling")
         p.write_text(body + f"nu_values = {nu}\nn_values = 100\n")
         with pytest.raises(ConfigError, match=r"nu values must lie in \(0, 1\]"):
+            load_config(p)
+
+    # rate_scaling takes either mu_star_override or a single nu, so a fixed
+    # shift's nu_values would be ignored
+    @pytest.mark.parametrize(
+        "extra",
+        ["nu_values = 0.5\nmu_star_override = 1.0\n", "nu_values = 0.25, 0.5\n"],
+        ids=["nu_and_override", "two_nu"],
+    )
+    def test_rate_scaling_takes_override_or_one_nu(self, tmp_path, extra):
+        p = tmp_path / "c.config"
+        body = "".join(f"{k} = {v}\n" for k, v in self.REQUIRED).replace("phase_transition", "rate_scaling")
+        p.write_text(body + "n_values = 100\n" + extra)
+        want = "rate_scaling takes either mu_star_override or a single value in nu_values, not both"
+        with pytest.raises(ConfigError, match=f"^{want}$"):
             load_config(p)
 
     @pytest.mark.parametrize("key, text, line", [("n", "500.5", 2), ("M", "1, 2", 4)])
