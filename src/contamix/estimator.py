@@ -20,15 +20,26 @@ Shift sums on the lattice.  In dimension 1 the mu levels are the lattice
 points k h, h = 1/sqrt(n), 1 <= |k| <= k_max, so ``estimate`` does not fill
 the O(n q) table.  Each sample within a cutoff T of some mu level is binned
 to its nearest lattice point, x = b h + r with |b| <= K = k_max +
-ceil(T sqrt(n)) + 1 and |r| <= h/2, so the bin array has a fixed size
-whatever the data.  The other samples are summed directly, so T enters eps
-only through K: it trades FFT length against direct-sum work and sets only
-the cost.  A family's lattice spec (``_LatticeSpec``) writes each
-binned sample's term as a sum over p < P of a weight w_p(r) times a table
-E_p((k - b) h), so with per-bin moments A_p[b] = sum w_p(r) (one
-``np.bincount`` each) the sums become S(k h) = sum_p sum_b A_p[b] E_p((k -
-b) h): P discrete convolutions, done with real FFTs.  For the Taylor
-families
+ceil(T sqrt(n)) + 1 and |r| <= h/2, so no bin lies past K whatever the
+data.  The other samples are summed directly, so T enters eps only through K
+and the reach R below: it trades FFT length against direct-sum work.  A
+family's lattice spec (``_LatticeSpec``) writes each binned sample's term as
+a sum over p < P of a weight w_p(r) times a table E_p((k - b) h), so with
+per-bin moments A_p[b] = sum w_p(r) (one ``np.bincount`` each) the sums
+become S(k h) = sum_p sum_b A_p[b] E_p((k - b) h): P discrete convolutions,
+done with real FFTs.
+
+The transform spans only what the sample and the bound need.  The moments
+fill the occupied bins b_lo..b_hi, and the tables reach R = ceil(T sqrt(n))
+steps for a family whose spec bounds |phi| beyond a distance (the Gaussian
+and the skew-Gaussian), else R = K + k_max, every (b, k) pair.  The FFT
+length L is the least power of two above max(b_hi + R + k_max, k_max - b_lo
++ R).  Bin b sits at index b - b_lo and table offset t at t + w, w = min(R,
+L - R - 1) the largest |t| a level reads; level k reads index k - b_lo + w,
+where below L no pair with b + t != k lands.  The bins -K..K with R = K +
+k_max give the fixed layout's length, the longest; at M = 10 the Gaussian's
+L is 1024 at n = 1000 and 2048 at n = 5000 for the study samples, against
+2048 and 4096.  For the Taylor families
 
     phi(x - k h) = sum_{p < P} r^p / p! phi^(p)((b - k) h) + R_P,
 
@@ -40,9 +51,13 @@ max_j |S~_j - S_j|, where S_j is the value ``precompute`` computes (u =
 
 * the rounding of the lattice offsets r and m h and of the mu levels, a shift
   of at most 8 u (K + k_max + 1) h per sample against a bound on |phi'|;
+* the pairs the reach drops, |k - b| > R, which lie (R + 1/2) h apart or
+  more: m tail((R + 1/2) h) for a spec's bound tail >= |phi| beyond a
+  distance;
 * the rounding in the moments and in the tables;
 * FFT round-off, (14 log2 L + P + 4) u (||A_p||_2 ||E_p||_1 + ||A_p||_1
-  ||E_p||_2) summed over p, for FFT length L;
+  ||E_p||_2) summed over p, for FFT length L, with the norms of the whole
+  tables, which bound those of the part laid out at length L;
 * the rounding of the direct sum itself, u (c n + (n + c') max_j S_j), with
   c and c' bounding the rounding of the family's pdf;
 * the samples that are not binned, summed directly against every level: the
@@ -50,26 +65,27 @@ max_j |S~_j - S_j|, where S_j is the value ``precompute`` computes (u =
 
 and its own terms:
 
-* Gaussian (P = 8, T = 8): E_p = He_p phi.  By Cramer's bound |He_P(t)|
-  e^{-t^2/4} <= 1.086435 sqrt(P!), D_P = 1.086435 sqrt(P! / (2 pi)).
+* Gaussian (P = 4, T = 8): E_p = He_p phi.  By Cramer's bound |He_P(t)|
+  e^{-t^2/4} <= 1.086435 sqrt(P!), D_P = 1.086435 sqrt(P! / (2 pi)); tail
+  = psi, the standard normal density.
 * Laplace (exact, T = 12): for b != k, exp(-|x - k h|) = exp(-|b - k| h)
   exp(-+r), so the weights are e^-r, e^r and e^-|r| against the one-sided
   tables e^{-|t|}/2 for t < 0 and t > 0 and the b = k term.  There is no
   remainder: D_P = 0.
-* Cauchy (P = 10, T = 20): phi^(p)(t) = (-1)^p p! Im[(t - i)^-(p+1)] / pi,
+* Cauchy (P = 6, T = 20): phi^(p)(t) = (-1)^p p! Im[(t - i)^-(p+1)] / pi,
   so D_P = P!/pi.
-* Skew-Gaussian (P = 12, T = 12): phi = 2 psi Psi(alpha .), by Leibniz on
+* Skew-Gaussian (P = 8, T = 12): phi = 2 psi Psi(alpha .), by Leibniz on
   psi^(j) = (-1)^j He_j psi and d^k Psi(alpha t) = alpha^k psi^(k-1)(alpha
   t), both from one Hermite recurrence; the tables are taken at -t, since
   the kernel is not symmetric.  D_P is the sum of Cramer's bounds on the
-  Leibniz terms.  A loose eps only recomputes more columns.  T is 12
-  here because the tail term of the bound e below needs the table to reach
-  |t| >= 11.
+  Leibniz terms, and tail = 2 psi.  A loose eps only recomputes more
+  columns.  T is 12 here because the tail term of the bound e below needs
+  the whole table to reach |t| >= 11.
 
 Inner products on the lattice.  A 1-d grid's lattice plan (``_LatticePlan``,
-memoised per kernel, n and k_max) holds the family's spec, the spectra of
-its tables and the grid's inner products c~_j with a bound e >= max_j |c~_j
-- c_j| against the values c_j of ``cross_inner``.  For the closed forms c~
+memoised per kernel, n and k_max) holds the family's spec, its tables and
+their spectra per FFT length, and the grid's inner products c~_j with a
+bound e >= max_j |c~_j - c_j| against the values c_j of ``cross_inner``.  For the closed forms c~
 is ``cross_inner_many`` on the mu levels and e = 0.  The skew-Gaussian has
 no closed form for c(mu) = <phi, phi_mu>; ``cross_inner`` takes it by a
 16 385-point Simpson rule, about 0.25-0.3 ms per mu level at alpha = 10.
@@ -77,10 +93,10 @@ Its plan instead holds the trapezoid rule on the lattice,
 
     c~(k h) = h sum_m phi(m h) phi((m - k) h),
 
-one autocorrelation of the E_0 table (the irfft of its spectrum times its
-conjugate), and e against the Simpson values c_j.  The skew-normal
-characteristic function is chi(t) = e^{-t^2/2} (1 + i erfi(delta t / sqrt
-2)), delta = alpha / sqrt(1 + alpha^2) (Azzalini 1985);
+one autocorrelation of the whole E_0 table at the fixed layout's length (the
+irfft of its spectrum times its conjugate), and e against the Simpson values
+c_j.  The skew-normal characteristic function is chi(t) = e^{-t^2/2} (1 + i
+erfi(delta t / sqrt 2)), delta = alpha / sqrt(1 + alpha^2) (Azzalini 1985);
 Dawson's function is at most 0.54105, so |erfi(x)| <= 0.6106 e^{x^2} and
 |chi(t)| <= 1.6106 exp(-t^2 / (2 s^2)), s^2 = 1 + alpha^2.  The transform of
 f = phi phi_mu is a convolution of two such, so |f^(w)| <= 0.7318 s
@@ -116,7 +132,9 @@ Psi(alpha t) only for n of at least a few alpha^2: at alpha = 10 and n = 16,
 e is about 3, and at alpha = 30 and n = 500, 0.18.  A non-finite e is inf.
 Either way a loose e only recomputes more columns.
 
-At n = 5000 eps is a few 1e-12 of max S for every family.  The certified
+At n = 5000 and P = 4 the Gaussian's Taylor remainder sets eps: about
+1.1e-6, or 1e-9 of max S, against a measured error near 1e-8; for the other
+families eps is a few 1e-12 of max S.  The certified
 scan evaluates the contrast from the approximate sums and inner products,
 whose error is at most delta = (2/n) eps + e/2 (as 2 lam (1 - lam) <= 1/2;
 explicit ``inner_products`` count as exact, e = 0) plus the rounding slack
@@ -163,7 +181,7 @@ __all__ = [
 
 MAX_GRID_POINTS = 10 ** 9
 # Each mu level costs floats in the grid, the shift sums and the lattice
-# plan (FFT length > 2 q), so memory needs a bound on the level count q.
+# plan (tables longer than 2 q), so memory needs a bound on the level count q.
 MAX_MU_LEVELS = 2 ** 20
 
 # rows-per-chunk targets keep temporaries around a few MB; the direct shift
@@ -173,22 +191,28 @@ _SHIFT_CHUNK_CELLS = 1 << 15
 _SCAN_CHUNK_CELLS = 1 << 20
 
 # Lattice transform: unit roundoff u; Cramer's constant for |He_j(t)|
-# exp(-t^2/4) <= C sqrt(j!); the Taylor orders P.  P = 8 puts the Gaussian
-# remainder below 1e-16 per sample for n >= 1000; the rounding terms dominate
-# eps there.  The Cauchy (P = 10) and skew (P = 12, alpha = 10) remainders
-# reach that from n = 500.
+# exp(-t^2/4) <= C sqrt(j!); the Taylor orders P.  Their remainder sets eps
+# (Gaussian, n = 5000: 1.1e-6), which only widens the certified scan's cut:
+# it still recomputes about one column; two orders less recompute several.
 _U = 2.0 ** -53
 _CRAMER = 1.086435
-_GAUSS_ORDER = 8
-_CAUCHY_ORDER = 10
-_SKEW_ORDER = 12
+_GAUSS_ORDER = 4
+_CAUCHY_ORDER = 6
+_SKEW_ORDER = 8
 _GAUSS = Kernel("gaussian")
+
+
+def _psi(t: float) -> float:
+    """The standard normal density, which bounds the Gaussian beyond |t|."""
+    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
 # Skew inner products: sup phi = 2 psi(0) bounds every skew-Gaussian value and
 # every <phi, phi_mu>; psi(11), psi(12) and the Gaussian tail mass beyond 11
 # bound the terms the lattice and Simpson rules leave out.
 _SKEW_SUP = math.sqrt(2.0 / math.pi)
-_PSI_11 = math.exp(-60.5) / math.sqrt(2.0 * math.pi)
-_PSI_12 = math.exp(-72.0) / math.sqrt(2.0 * math.pi)
+_PSI_11 = _psi(11.0)
+_PSI_12 = _psi(12.0)
 _GAUSS_TAIL_11 = 0.5 * math.erfc(11.0 / math.sqrt(2.0))
 
 
@@ -419,6 +443,8 @@ class _LatticeSpec:
     weight_l1: Callable      # (m, r_max) -> (P,) bounds on ||A_p||_1 over m binned samples
     tables: Callable         # t -> ((P, len t) tables E_p(t), (P,) bound on each entry's rounding)
     sup_deriv: float         # sup |phi^(P)|, which bounds the Taylor remainder; 0: exact
+    # d -> a bound on |phi(t)| for |t| >= d, so the tables reach R = ceil(T sqrt(n)) steps
+    tail: Callable | None = None
     # (root, k_max, half, L, E_0's rounding, ||E_0||_1, ||E_0||_2) -> the bound
     # e of the lattice inner products; None: closed-form inner products
     inner_bound: Callable | None = None
@@ -573,6 +599,7 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
         eval_rel=eval_rel,
         tables=tables,
         sup_deriv=sup_deriv[order],
+        tail=lambda d: 2.0 * _psi(d),
         inner_bound=inner_bound,
     )
 
@@ -586,6 +613,7 @@ _GAUSS_SPEC = _taylor_spec(
     eval_rel=6,
     tables=_gaussian_tables,
     sup_deriv=_CRAMER * math.sqrt(math.factorial(_GAUSS_ORDER) / (2.0 * math.pi)),
+    tail=_psi,
 )
 
 _LAPLACE_SPEC = _LatticeSpec(
@@ -624,8 +652,9 @@ class _LatticePlan:
     root: float            # sqrt(n); the lattice spacing is h = 1/root
     h: float
     bins: int              # K: samples are binned to b = -K..K
-    size: int              # FFT length L
-    spectra: np.ndarray    # (P, L//2 + 1): rfft of the tables E_p
+    reach: int             # R: the transform takes table offsets up to R
+    tables: np.ndarray     # (P, 2 half + 1): E_p(m h) for m = -half..half, half = K + k_max
+    spectra: dict          # FFT length L -> (P, L//2 + 1): rfft of the tables laid out for L
     norm1: np.ndarray      # (P,): ||E_p||_1
     norm2: np.ndarray      # (P,): ||E_p||_2
     peak: np.ndarray       # (P,): max |E_p|
@@ -634,8 +663,8 @@ class _LatticePlan:
     inner_err: float       # e >= max_j |inner_j - c_j|, 0 for the closed forms
 
 
-# Plans keyed by (kernel, n, k_max).  A study runs one family at a few n; the
-# largest plan (Cauchy, n = 8000, M = 10) holds 1.3 MB of spectra.
+# Plans keyed by (kernel, n, k_max); a study runs one family at a few n.  The
+# largest (Cauchy, n = 8000, M = 10) holds 0.34 MB of tables, 0.39 MB per L.
 _LATTICE_PLANS: dict[tuple, _LatticePlan] = {}
 
 
@@ -644,23 +673,22 @@ def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
     k_max = grid.mu_levels.shape[0] // 2
     root = math.sqrt(grid.n)
     h = 1.0 / root
-    bins = k_max + math.ceil(spec.far * root) + 1
+    steps = math.ceil(spec.far * root)
+    bins = k_max + steps + 1
     half = bins + k_max  # table offsets m = -half..half cover every (b, k) pair
-    size = 1 << (2 * half).bit_length()
     t = np.arange(-half, half + 1) * h
     tables, table_err = spec.tables(t)
-    padded = np.zeros((tables.shape[0], size))
-    padded[:, : 2 * half + 1] = tables
-    spectra = np.fft.rfft(padded, axis=1)
-    spectra.setflags(write=False)
+    tables.setflags(write=False)
     norm1 = np.sum(np.abs(tables), axis=1)
     norm2 = np.sqrt(np.sum(np.square(tables), axis=1))
     if spec.inner_bound is None:
         inner, err = cross_inner_many(kernel, grid.mu_levels), 0.0
     else:
         # c~(k h) = h sum_m phi(m h) phi((m - k) h) is the autocorrelation of
-        # the E_0(t) = phi(-t) table, whose lag k sits at index k mod L
-        corr = np.fft.irfft(spectra[0] * spectra[0].conj(), size)
+        # the whole E_0(t) = phi(-t) table, whose lag k sits at index k mod L
+        size = 1 << (2 * half).bit_length()
+        spectrum = np.fft.rfft(tables[0], size)
+        corr = np.fft.irfft(spectrum * spectrum.conj(), size)
         inner = h * np.concatenate([corr[size - k_max :], corr[1 : k_max + 1]])
         err = spec.inner_bound(root, k_max, half, size, table_err[0], norm1[0], norm2[0])
         if not (err < math.inf and np.all(np.isfinite(inner))):
@@ -671,8 +699,9 @@ def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
         root=root,
         h=h,
         bins=bins,
-        size=size,
-        spectra=spectra,
+        reach=half if spec.tail is None else steps,
+        tables=tables,
+        spectra={},
         norm1=norm1,
         norm2=norm2,
         peak=np.max(np.abs(tables), axis=1),
@@ -698,31 +727,38 @@ def _lattice_shift_sums(plan: _LatticePlan, grid: Grid, data: np.ndarray) -> tup
     n = data.shape[0]
     k_max = grid.mu_levels.shape[0] // 2
     spec = plan.spec
-    bins = plan.bins
+    bins, reach = plan.bins, plan.reach
     is_near = np.abs(data) <= bins * plan.h
     near = data[is_near]
     b = np.rint(near * plan.root)
     r = near - b * plan.h
-    idx = (b + bins).astype(np.intp)
-    order = plan.spectra.shape[0]
-    moments = np.zeros((order, plan.size))
-    for p, w in enumerate(spec.weights(r)):
-        moments[p, : 2 * bins + 1] = np.bincount(idx, weights=w, minlength=2 * bins + 1)
-    spectrum = np.fft.rfft(moments, axis=1)
-    spectrum *= plan.spectra
-    spectrum = np.sum(spectrum, axis=0)
-    # the k-th level's sum sits at offset 2K + k_max + k of the convolution;
-    # k = 0 is not a mu level
-    conv = np.fft.irfft(spectrum, plan.size)[2 * bins : 2 * bins + 2 * k_max + 1]
-    sums = np.delete(conv, k_max)
-
     m = near.shape[0]
+    # the occupied bins (one empty bin when nothing is binned) and the table
+    # offsets |t| <= w, laid out as the module docstring states
+    b_lo, b_hi = (int(np.min(b)), int(np.max(b))) if m else (0, 0)
+    size = 1 << max(b_hi + reach + k_max, k_max - b_lo + reach).bit_length()
+    w, half = min(reach, size - reach - 1), plan.tables.shape[1] // 2
+    spectra = memo(plan.spectra, size, lambda: np.fft.rfft(plan.tables[:, half - w : half + w + 1], size), 4)
+    order = spectra.shape[0]
+    moments = np.zeros((order, size))
+    idx = (b - b_lo).astype(np.intp)
+    for p, weight in enumerate(spec.weights(r)):
+        moments[p, : b_hi - b_lo + 1] = np.bincount(idx, weights=weight, minlength=1)
+    spectrum = np.fft.rfft(moments, axis=1)
+    spectrum *= spectra
+    spectrum = np.sum(spectrum, axis=0)
+    levels = np.arange(w - b_lo - k_max, w - b_lo + k_max + 1)
+    # k = 0 is not a mu level
+    sums = np.delete(np.take(np.fft.irfft(spectrum, size), levels, mode="wrap"), k_max)
+
     r_max = float(np.max(np.abs(r))) if m else 0.0
     l1 = spec.weight_l1(m, r_max)  # >= ||A_p||_1
     l2 = np.sqrt(np.sum(np.square(moments), axis=1))
-    # truncation; far samples; offset rounding; moment and table rounding;
-    # FFT round-off; then the direct sum's own rounding
+    # truncation; table reach; far samples; offset rounding; moment and table
+    # rounding; FFT round-off; then the direct sum's own rounding
     eps = m * spec.sup_deriv * r_max ** order / math.factorial(order)
+    if spec.tail is not None:  # the pairs with |k - b| > R lie (R + 1/2) h apart or more
+        eps += m * spec.tail((reach + 0.5) * plan.h)
     far = data[~is_near]
     if far.size:
         sums += _direct_shift_sums(spec.kernel, grid.mu_levels, far)
@@ -730,7 +766,7 @@ def _lattice_shift_sums(plan: _LatticePlan, grid: Grid, data: np.ndarray) -> tup
     eps += _U * (spec.eval_abs * far.size + (far.size + spec.eval_rel + 1) * float(np.max(np.abs(sums))))
     eps += spec.lip * m * 8.0 * _U * (bins + k_max + 1) * plan.h
     eps += float(np.sum(l1 * ((m + spec.weight_ulps) * _U * plan.peak + plan.table_err)))
-    fft_gain = (14.0 * math.log2(plan.size) + order + 4) * _U
+    fft_gain = (14.0 * math.log2(size) + order + 4) * _U
     eps += fft_gain * float(np.sum(l2 * plan.norm1 + l1 * plan.norm2))
     eps += _U * (spec.eval_abs * n + (n + spec.eval_rel) * (float(np.max(np.abs(sums))) + eps))
     if not (eps < math.inf and np.all(np.isfinite(sums))):

@@ -87,17 +87,17 @@ def pdf_many(kernel: Kernel, x) -> np.ndarray:
     product density is returned.
     """
     x = np.asarray(x, dtype=float)
-    if kernel.dim > 1:
-        if x.ndim == 0 or x.shape[-1] != kernel.dim:
-            raise ValueError(f"point shape {x.shape} does not match kernel dim {kernel.dim}")
-        sq = np.sum(np.square(x), axis=-1)
-        return np.exp(-0.5 * sq) / _SQRT_2PI ** kernel.dim
-    if kernel.family == "gaussian":
-        return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
-    if kernel.family == "laplace":
-        return 0.5 * np.exp(-np.abs(x))
-    if kernel.family == "cauchy":
-        return 1.0 / (math.pi * (1.0 + np.square(x)))
+    if kernel.dim > 1 and (x.ndim == 0 or x.shape[-1] != kernel.dim):
+        raise ValueError(f"point shape {x.shape} does not match kernel dim {kernel.dim}")
+    with np.errstate(over="ignore"):  # a square past the float range gives the limit 0
+        if kernel.dim > 1:
+            return np.exp(-0.5 * np.sum(np.square(x), axis=-1)) / _SQRT_2PI ** kernel.dim
+        if kernel.family == "gaussian":
+            return np.exp(-0.5 * np.square(x)) / _SQRT_2PI
+        if kernel.family == "laplace":
+            return 0.5 * np.exp(-np.abs(x))
+        if kernel.family == "cauchy":
+            return 1.0 / (math.pi * (1.0 + np.square(x)))
     # [()] makes a 0-d result a scalar, as the ufunc expressions above give it
     return _skew_pdf(kernel.alpha, x, np.empty(x.shape), np.empty(x.shape))[()]
 
@@ -241,9 +241,9 @@ def _simpson_arrays() -> tuple:
     return (nodes, weights, *(np.empty(SIMPSON_PANELS + 1) for _ in range(3)))
 
 
-# The one cache policy of the package: module-level dict stores, filled once
-# per key under one lock, each bounded by evicting its oldest entry.  The lock
-# is reentrant so that a fill which itself calls ``memo`` cannot deadlock.
+# The one cache policy of the package: dict stores, filled once per key under
+# one lock, each bounded by evicting its oldest entry.  The lock is reentrant
+# so that a fill which itself calls ``memo`` cannot deadlock.
 _MEMO_LOCK = threading.RLock()
 
 

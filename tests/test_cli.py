@@ -130,6 +130,22 @@ class TestEstimate:
         assert code == 2
         assert "mu levels" in err and "Traceback" not in err and out == ""
 
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    def test_huge_sample_prints_no_warning_under_w_error(self, tmp_path, family):
+        # 2e200 squares past the float range inside the density; its value
+        # is the limit 0, with no warning to fail the run
+        p = tmp_path / "huge.csv"
+        p.write_text("0.1\n-0.3\n2e200\n1.2\n0.5\n")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+             "-W", "error::ResourceWarning", "-m", "contamix.cli",
+             "estimate", "--kernel", family, "--data", str(p), "--bound-m", "2"],
+            capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        res = estimate(Kernel(family), [0.1, -0.3, 2e200, 1.2, 0.5], 2.0)
+        assert float(parse_kv(proc.stdout)["contrast_value"]) == res.contrast_value
+
     def test_skew_without_alpha_usage_error(self, gaussian_fixture):
         path, _ = gaussian_fixture
         code, _, _ = run_cli(

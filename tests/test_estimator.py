@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -469,7 +470,10 @@ class TestLatticeScan:
 
     @pytest.mark.parametrize("value", [0.0, 0.37, -2.5])
     def test_repeated_value(self, value):
+        # one occupied bin
         assert_lattice_scan_exact(np.full(400, value), 3.0)
+        size, fixed = transform_length(GAUSS, np.full(400, value), 3.0)
+        assert size <= fixed
 
     def test_far_outliers_keep_memory_bounded(self):
         data = sample_mixture(GAUSS, MixtureParams(0.25, 2.0), 2000, seed=9)
@@ -489,6 +493,55 @@ class TestLatticeScan:
     def test_all_samples_far(self):
         # nothing is binned; the skipped sums (~1e-183) are covered by eps
         assert_lattice_scan_exact(np.linspace(30.0, 31.0, 64), 1.0)
+        size, fixed = transform_length(GAUSS, np.linspace(30.0, 31.0, 64), 1.0)
+        assert size <= fixed
+
+
+def transform_length(kernel, data, M):
+    """The FFT length of one lattice transform of ``data`` on a fresh plan,
+    and the length 1 << (2 half).bit_length() of the fixed layout, whose
+    bins span -K..K and whose table reaches every (b, k) pair."""
+    grid = build_grid(len(data), M, 1)
+    plan = estimator._lattice_plan(kernel, grid)
+    estimator._lattice_shift_sums(plan, grid, data)
+    (size,) = plan.spectra
+    return size, 1 << (plan.tables.shape[1] - 1).bit_length()
+
+
+class TestTransformWindow:
+    """The transform spans the occupied bins and the table's reach: never
+    longer than the fixed layout, and its sums keep their bound."""
+
+    @pytest.mark.parametrize("n, fixed, want", [(1000, 2048, 1024), (5000, 4096, 2048)])
+    @pytest.mark.parametrize("nu", [1.0 / 24.0, 1.0])
+    def test_gaussian_study_lengths(self, n, fixed, want, nu):
+        # the desk and full protocol grids (M = 10) at the ends of the nu ladder
+        data = sample_mixture(GAUSS, MixtureParams(0.25, math.sqrt(1.0 / (0.25 * n ** nu))), n, seed=3)
+        assert transform_length(GAUSS, data, 10.0) == (want, fixed)
+
+    def test_cauchy_bins_at_both_ends(self):
+        # samples in bins -K and K: the whole fixed window, at its length
+        kernel = Kernel("cauchy")
+        data = sample_mixture(kernel, MixtureParams(0.3, 1.0), 2000, seed=8)
+        plan = estimator._lattice_plan(kernel, build_grid(2000, 4.0, 1))
+        data[:2] = np.array([-1.0, 1.0]) * (plan.bins - 0.25) * plan.h
+        assert transform_length(kernel, data, 4.0) == (4096, 4096)
+        assert_lattice_scan_exact(data, 4.0, kernel)
+
+    def test_short_reach_keeps_the_bound(self, monkeypatch):
+        # a Gaussian table that reaches R = 10 steps: the dropped pairs, each
+        # below psi((R + 1/2) h), are nearly all of eps, and the sums stay
+        # within eps/2 of precompute's
+        monkeypatch.setitem(estimator._SPECS, "gaussian", dataclasses.replace(estimator._GAUSS_SPEC, far=1.0))
+        monkeypatch.setattr(estimator, "_LATTICE_PLANS", {})
+        for seed in range(5):
+            data = sample_mixture(GAUSS, MixtureParams(0.3, 1.5), 100, seed=seed)
+            grid = build_grid(100, 3.0, 1)
+            plan = estimator._grid_plan(GAUSS, grid)
+            assert plan.reach == 10 < plan.tables.shape[1] // 2
+            sums, eps = estimator._lattice_shift_sums(plan, grid, data)
+            assert np.max(np.abs(sums - precompute(GAUSS, grid, data).shift_sums)) <= eps / 2
+            assert_lattice_scan_exact(data, 3.0)
 
 
 class TestCertifiedScanDim2:
@@ -605,7 +658,10 @@ class TestLatticeFamilies:
     @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
     @pytest.mark.parametrize("value", [0.0, 0.37, -2.5])
     def test_repeated_value(self, kernel, value):
+        # one occupied bin
         assert_lattice_scan_exact(np.full(400, value), 3.0, kernel)
+        size, fixed = transform_length(kernel, np.full(400, value), 3.0)
+        assert size <= fixed
 
     @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
     @pytest.mark.parametrize("n, value", [(16, 0.37), (100, 0.149)])
@@ -618,6 +674,8 @@ class TestLatticeFamilies:
     def test_all_samples_far(self, kernel):
         # beyond every family's cutoff: nothing is binned
         assert_lattice_scan_exact(np.linspace(50.0, 51.0, 64), 1.0, kernel)
+        size, fixed = transform_length(kernel, np.linspace(50.0, 51.0, 64), 1.0)
+        assert size <= fixed
 
     @pytest.mark.parametrize("kernel", [GAUSS] + NON_GAUSSIAN, ids=family)
     def test_rate_scaling_largest_n(self, kernel, monkeypatch):
@@ -823,17 +881,19 @@ class TestTransformState:
     """No state kept between transforms, or shared by threads, changes a result."""
 
     def test_same_length_other_bins(self):
-        # both L = 4096, with K = 1261 and 1274: a plan or array kept from
-        # one n would mix its bins into the other's
-        assert estimator._grid_plan(GAUSS, build_grid(4900, 10.0, 1)).size == 4096
-        assert estimator._grid_plan(GAUSS, build_grid(5000, 10.0, 1)).size == 4096
+        # both L = 2048, with the occupied bins from b = -234 and -238 and
+        # reaches R = 560 and 566, so their levels sit at other offsets: a
+        # plan or array kept from one n would mix its bins into the other's
+        for n in (4900, 5000):
+            data = sample_mixture(GAUSS, MixtureParams(0.3, 1.5), n, seed=n)
+            assert transform_length(GAUSS, data, 10.0)[0] == 2048
         jobs = [(GAUSS, 4900), (GAUSS, 5000), (GAUSS, 4900)]
         back_to_back = on_fresh_thread(lattice_results, jobs)
         fresh = [on_fresh_thread(lattice_results, [job])[0] for job in jobs]
         assert back_to_back == fresh
 
     def test_concurrent_threads_give_the_serial_results(self):
-        # the threads meet on one (P, L) = (8, 4096) and switch often
+        # the threads meet on one (P, L) = (4, 2048) and switch often
         jobs = [
             [(GAUSS, 4900), (Kernel("laplace"), 2000), (GAUSS, 5000)],
             [(GAUSS, 5000), (Kernel("cauchy"), 500), (GAUSS, 4900)],
@@ -858,6 +918,53 @@ class TestTransformState:
         finally:
             sys.setswitchinterval(interval)
         assert got == serial
+
+    def test_windows_fill_the_spectra_concurrently(self, monkeypatch):
+        # one plan; a sample within +-5 transforms at L = 2048, the same with
+        # two samples at +-15 at L = 4096.  Two threads fill the plan's
+        # per-length spectra at once and must give the serial bits
+        n = 5000
+        grid = build_grid(n, 10.0, 1)
+        narrow = sample_mixture(GAUSS, MixtureParams(0.3, 1.5), n, seed=1)
+        wide = narrow.copy()
+        wide[:2] = [-15.0, 15.0]
+        assert transform_length(GAUSS, narrow, 10.0)[0] == 2048
+        assert transform_length(GAUSS, wide, 10.0)[0] == 4096
+
+        def run(samples):
+            plan = estimator._grid_plan(GAUSS, grid)
+            return [
+                (sums.tobytes(), eps)
+                for sums, eps in (estimator._lattice_shift_sums(plan, grid, x) for x in samples)
+            ]
+
+        jobs = [[narrow, wide] * 4, [wide, narrow] * 4]
+        serial = []
+        for samples in jobs:
+            monkeypatch.setattr(estimator, "_LATTICE_PLANS", {})
+            serial.append(on_fresh_thread(run, samples))
+        monkeypatch.setattr(estimator, "_LATTICE_PLANS", {})
+        estimator._grid_plan(GAUSS, grid)  # one plan, no spectra yet
+        barrier = threading.Barrier(len(jobs))
+        got = [None] * len(jobs)
+
+        def worker(i):
+            barrier.wait()
+            got[i] = run(jobs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial
+        assert sorted(estimator._grid_plan(GAUSS, grid).spectra) == [2048, 4096]
 
 
 @pytest.mark.slow

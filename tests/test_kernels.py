@@ -492,6 +492,16 @@ class TestOverflow:
             assert pdf(kernel, x) == pytest.approx(want, rel=1e-15)
             assert np.all(pdf_many(kernel, [x, x]) == pdf(kernel, x))
 
+    @pytest.mark.parametrize("kernel", [GAUSS, CAUCHY, Kernel("gaussian", dim=2)], ids=str)
+    def test_squares_past_the_float_range_give_zero_without_a_warning(self, kernel):
+        # x^2 overflows to inf, whose density is the limit 0
+        x = np.array([1e200, -1e200])
+        if kernel.dim > 1:
+            x = np.array([[1e200, 0.0], [0.0, -1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.all(pdf_many(kernel, x) == 0.0)
+
     @pytest.mark.parametrize("mu", [1e308, -1e308])
     def test_cross_inner_at_a_huge_shift_is_zero_without_a_warning(self, mu):
         kernels._SKEW_CACHE.pop((10.0, mu), None)
