@@ -34,12 +34,12 @@ fill the occupied bins b_lo..b_hi, and the tables reach R = ceil(T sqrt(n))
 steps for a family whose spec bounds |phi| beyond a distance (the Gaussian
 and the skew-Gaussian), else R = K + k_max, every (b, k) pair.  The FFT
 length L is the least power of two above max(b_hi + R + k_max, k_max - b_lo
-+ R).  Bin b sits at index b - b_lo and table offset t at t + w, w = min(R,
-L - R - 1) the largest |t| a level reads; level k reads index k - b_lo + w,
-where below L no pair with b + t != k lands.  The bins -K..K with R = K +
-k_max give the fixed layout's length, the longest; at M = 10 the Gaussian's
-L is 1024 at n = 1000 and 2048 at n = 5000 for the study samples, against
-2048 and 4096.  For the Taylor families
++ R, b_hi - b_lo).  Bin b sits at index b - b_lo and table offset t at t +
+w, w = min(R, L - R - 1) the largest |t| a level reads; level k reads index
+k - b_lo + w, where below L no pair with b + t != k lands.  The bins -K..K
+with R = K + k_max give the fixed layout's length, the longest; at M = 10
+the Gaussian's L is 1024 at n = 1000 and 2048 at n = 5000 for the study
+samples, against 2048 and 4096.  For the Taylor families
 
     phi(x - k h) = sum_{p < P} r^p / p! phi^(p)((b - k) h) + R_P,
 
@@ -733,10 +733,10 @@ def _lattice_shift_sums(plan: _LatticePlan, grid: Grid, data: np.ndarray) -> tup
     b = np.rint(near * plan.root)
     r = near - b * plan.h
     m = near.shape[0]
-    # the occupied bins (one empty bin when nothing is binned) and the table
-    # offsets |t| <= w, laid out as the module docstring states
+    # the occupied bins (one empty bin when nothing is binned), fewer than L,
+    # and the table offsets |t| <= w, laid out as the module docstring states
     b_lo, b_hi = (int(np.min(b)), int(np.max(b))) if m else (0, 0)
-    size = 1 << max(b_hi + reach + k_max, k_max - b_lo + reach).bit_length()
+    size = 1 << max(b_hi + reach + k_max, k_max - b_lo + reach, b_hi - b_lo).bit_length()
     w, half = min(reach, size - reach - 1), plan.tables.shape[1] // 2
     spectra = memo(plan.spectra, size, lambda: np.fft.rfft(plan.tables[:, half - w : half + w + 1], size), 4)
     order = spectra.shape[0]

@@ -528,6 +528,27 @@ class TestTransformWindow:
         assert transform_length(kernel, data, 4.0) == (4096, 4096)
         assert_lattice_scan_exact(data, 4.0, kernel)
 
+    @pytest.mark.parametrize(
+        "kernel, n, M",
+        [
+            (GAUSS, 16, 7.75),
+            (GAUSS, 100, 4.7),
+            (Kernel("skew_gaussian", alpha=10.0), 16, 3.75),
+        ],
+        ids=["gaussian-16", "gaussian-100", "skew-16"],
+    )
+    def test_short_reach_bins_at_both_ends(self, kernel, n, M):
+        # R = K - k_max - 1 and 2K a power of two: the reach alone asks for
+        # L = 2K, one short of the 2K + 1 occupied bins -K..K
+        plan = estimator._lattice_plan(kernel, build_grid(n, M, 1))
+        assert plan.reach < plan.tables.shape[1] // 2
+        assert (2 * plan.bins).bit_count() == 1
+        data = sample_mixture(kernel, MixtureParams(0.3, 1.0), n, seed=4)
+        data[:2] = np.array([-1.0, 1.0]) * (plan.bins - 0.25) * plan.h
+        size, fixed = transform_length(kernel, data, M)
+        assert 2 * plan.bins < size <= fixed
+        assert_lattice_scan_exact(data, M, kernel)
+
     def test_short_reach_keeps_the_bound(self, monkeypatch):
         # a Gaussian table that reaches R = 10 steps: the dropped pairs, each
         # below psi((R + 1/2) h), are nearly all of eps, and the sums stay
