@@ -162,10 +162,10 @@ def _cmd_wasserstein(args) -> int:
         raise _UsageError(f"--mu1 and --mu2 have different dimensions ({mu1.size} vs {mu2.size})")
     g1 = MixtureParams(args.lambda1, mu1)
     g2 = MixtureParams(args.lambda2, mu2)
-    if args.p == 1:
-        print(f"w1={_fmt(w1(g1, g2))}")
-    else:
-        print(f"w2_squared={_fmt(w2_squared(g1, g2))}")
+    key, value = ("w1", w1(g1, g2)) if args.p == 1 else ("w2_squared", w2_squared(g1, g2))
+    if not np.isfinite(value):
+        raise _DataError(f"{key} overflows a float for these shifts")
+    print(f"{key}={_fmt(value)}")
     return EXIT_OK
 
 

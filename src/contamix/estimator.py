@@ -29,17 +29,16 @@ per-bin moments A_p[b] = sum w_p(r) (one ``np.bincount`` each) the sums
 become S(k h) = sum_p sum_b A_p[b] E_p((k - b) h): P discrete convolutions,
 done with real FFTs.
 
-The transform spans only what the sample and the bound need.  The moments
-fill the occupied bins b_lo..b_hi, and the tables reach R = ceil(T sqrt(n))
-steps for a family whose spec bounds |phi| beyond a distance (the Gaussian
-and the skew-Gaussian), else R = K + k_max, every (b, k) pair.  The FFT
-length L is the least power of two above max(b_hi + R + k_max, k_max - b_lo
-+ R, b_hi - b_lo).  Bin b sits at index b - b_lo and table offset t at t +
-w, w = min(R, L - R - 1) the largest |t| a level reads; level k reads index
-k - b_lo + w, where below L no pair with b + t != k lands.  The bins -K..K
-with R = K + k_max give the fixed layout's length, the longest; at M = 10
-the Gaussian's L is 1024 at n = 1000 and 2048 at n = 5000 for the study
-samples, against 2048 and 4096.  For the Taylor families
+One rule lays out the transform: the tables reach R, holding E_p(t h) for
+t = -R..R; bin b sits at index b - b_lo; level k reads index k - b_lo + w.
+R is ceil(T sqrt(n)) for a family whose spec bounds |phi| beyond a distance
+(the Gaussian and the skew-Gaussian), else K + k_max, every (b, k) pair.
+The moments fill the occupied bins b_lo..b_hi; the FFT length L is the least
+power of two above max(b_hi + R + k_max, k_max - b_lo + R, b_hi - b_lo);
+table offset t sits at t + w, w = min(R, L - R - 1) the largest |t| a level
+reads, so below L no pair with b + t != k lands on a level.  At M = 10 the
+Gaussian's L is 1024 at n = 1000 and 2048 at n = 5000 for the study samples.
+For the Taylor families
 
     phi(x - k h) = sum_{p < P} r^p / p! phi^(p)((b - k) h) + R_P,
 
@@ -79,38 +78,38 @@ and its own terms:
   t), both from one Hermite recurrence; the tables are taken at -t, since
   the kernel is not symmetric.  D_P is the sum of Cramer's bounds on the
   Leibniz terms, and tail = 2 psi.  A loose eps only recomputes more
-  columns.  T is 12 here because the tail term of the bound e below needs
-  the whole table to reach |t| >= 11.
+  columns.  T is 12 here because the table must reach |t| >= 11, R h >= T,
+  for the tail term of the bound e below.
 
 Inner products on the lattice.  A 1-d grid's lattice plan (``_LatticePlan``,
 memoised per kernel, n and k_max) holds the family's spec, its tables and
 their spectra per FFT length, and the grid's inner products c~_j with a
-bound e >= max_j |c~_j - c_j| against the values c_j of ``cross_inner``.  For the closed forms c~
-is ``cross_inner_many`` on the mu levels and e = 0.  The skew-Gaussian has
-no closed form for c(mu) = <phi, phi_mu>; ``cross_inner`` takes it by a
-16 385-point Simpson rule, about 0.25-0.3 ms per mu level at alpha = 10.
-Its plan instead holds the trapezoid rule on the lattice,
+bound e >= max_j |c~_j - c_j| against the values c_j of ``cross_inner``.
+For the closed forms c~ is ``cross_inner_many`` on the mu levels and e = 0.
+The skew-Gaussian has no closed form for c(mu) = <phi, phi_mu>;
+``cross_inner`` takes it by a 16 385-point Simpson rule, about 0.25-0.3 ms
+per mu level at alpha = 10.  Its plan instead holds the trapezoid rule on
+the lattice,
 
     c~(k h) = h sum_m phi(m h) phi((m - k) h),
 
-one autocorrelation of the whole E_0 table at the fixed layout's length (the
-irfft of its spectrum times its conjugate), and e against the Simpson values
-c_j.  The skew-normal characteristic function is chi(t) = e^{-t^2/2} (1 + i
-erfi(delta t / sqrt 2)), delta = alpha / sqrt(1 + alpha^2) (Azzalini 1985);
-Dawson's function is at most 0.54105, so |erfi(x)| <= 0.6106 e^{x^2} and
-|chi(t)| <= 1.6106 exp(-t^2 / (2 s^2)), s^2 = 1 + alpha^2.  The transform of
-f = phi phi_mu is a convolution of two such, so |f^(w)| <= 0.7318 s
-exp(-w^2 / (4 s^2)) for every mu.  With sup phi <= 2 psi(0) = sqrt(2/pi),
-which also bounds every c(mu), lip >= sup |phi'| as above and Q the
-Gaussian upper tail, e holds
+one autocorrelation of the E_0 table (the irfft of its spectrum times its
+conjugate) at the least power of two above 2R + k_max, where no lag up to
+k_max wraps, and e against the Simpson values c_j.  The skew-normal
+characteristic function is chi(t) = e^{-t^2/2} (1 + i erfi(delta t / sqrt
+2)), delta = alpha / sqrt(1 + alpha^2) (Azzalini 1985); Dawson's function is
+at most 0.54105, so |erfi(x)| <= 0.6106 e^{x^2} and |chi(t)| <= 1.6106
+exp(-t^2 / (2 s^2)), s^2 = 1 + alpha^2.  The transform of f = phi phi_mu is
+a convolution of two such, so |f^(w)| <= 0.7318 s exp(-w^2 / (4 s^2)) for
+every mu.  With sup phi <= 2 psi(0) = sqrt(2/pi), which also bounds every
+c(mu), lip >= sup |phi'| as above and Q the Gaussian upper tail, e holds
 
 * aliasing: by Poisson summation the lattice rule errs by at most sum_{j !=
   0} |f^(2 pi j / h)| <= 2 (0.7318 s) q / (1 - q^3), q = exp(-(pi sqrt(n) /
   s)^2) (trapezoid rules converge exponentially; Trefethen & Weideman 2014);
-* the tail: every term the table leaves out, or the circular correlation
-  or Simpson's window cuts, has a factor phi(t) <= 2 psi(t) at |t| >= 11 and
-  another at most sup phi, 8 sup phi (psi(11) + Q(11)) in all, plus the
-  wrapped terms, 4 mu_max psi(12)^2;
+* the tail: every term the table leaves out, or Simpson's window cuts, has
+  a factor phi(t) <= 2 psi(t) at |t| >= 11 and another at most sup phi, 8
+  sup phi (psi(11) + Q(11)) in all;
 * table rounding: each of the N entries is within tau = (its rounding) +
   lip u N h of phi(m h), giving h tau (2 ||E_0||_1 + 3 N tau);
 * FFT round-off, the bound above with P = 1: (14 log2 L + 5) u 2 ||E_0||_1
@@ -139,7 +138,7 @@ scan evaluates the contrast from the approximate sums and inner products,
 whose error is at most delta = (2/n) eps + e/2 (as 2 lam (1 - lam) <= 1/2;
 explicit ``inner_products`` count as exact, e = 0) plus the rounding slack
 of the two evaluations.  For fixed mu the contrast is a quadratic in lambda,
-so each column's least value comes from four lambda levels
+so each column's least value comes from two lambda levels
 (``_column_minima``), widened by a stated slack rho for rounding near a flat
 vertex.  Every mu column whose minimum lies within 2 delta + rho of the
 global minimum may hold the exact minimum or one of its ties; those columns
@@ -180,8 +179,8 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 10 ** 9
-# Each mu level costs floats in the grid, the shift sums and the lattice
-# plan (tables longer than 2 q), so memory needs a bound on the level count q.
+# Each mu level costs floats in the grid, the shift sums and the lattice plan
+# (Laplace and Cauchy tables over 2 q long), so memory needs a bound on q.
 MAX_MU_LEVELS = 2 ** 20
 
 # rows-per-chunk targets keep temporaries around a few MB; the direct shift
@@ -208,12 +207,11 @@ def _psi(t: float) -> float:
 
 
 # Skew inner products: sup phi = 2 psi(0) bounds every skew-Gaussian value and
-# every <phi, phi_mu>; psi(11), psi(12) and the Gaussian tail mass beyond 11
-# bound the terms the lattice and Simpson rules leave out.
+# every <phi, phi_mu>.  Every term the lattice and Simpson rules leave out has
+# a factor phi(t) <= 2 psi(t) at |t| >= 11 and another at most sup phi: the
+# tail bound 8 sup phi (psi(11) + Q(11)), Q the Gaussian upper tail.
 _SKEW_SUP = math.sqrt(2.0 / math.pi)
-_PSI_11 = _psi(11.0)
-_PSI_12 = _psi(12.0)
-_GAUSS_TAIL_11 = 0.5 * math.erfc(11.0 / math.sqrt(2.0))
+_SKEW_TAIL = 8.0 * _SKEW_SUP * (_psi(11.0) + 0.5 * math.erfc(11.0 / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -445,7 +443,7 @@ class _LatticeSpec:
     sup_deriv: float         # sup |phi^(P)|, which bounds the Taylor remainder; 0: exact
     # d -> a bound on |phi(t)| for |t| >= d, so the tables reach R = ceil(T sqrt(n)) steps
     tail: Callable | None = None
-    # (root, k_max, half, L, E_0's rounding, ||E_0||_1, ||E_0||_2) -> the bound
+    # (root, k_max, R, L, E_0's rounding, ||E_0||_1, ||E_0||_2) -> the bound
     # e of the lattice inner products; None: closed-form inner products
     inner_bound: Callable | None = None
 
@@ -562,29 +560,26 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
     eval_abs, eval_rel = 2.0, 16
     spread = math.hypot(1.0, alpha)  # |chi(t)| <= 1.6106 exp(-t^2 / (2 spread^2))
 
-    def inner_bound(root, k_max, half, size, table_err, norm1, norm2):
+    def inner_bound(root, k_max, reach, size, table_err, norm1, norm2):
         # e >= max_j |c~_j - c_j| against the Simpson values c_j of
         # ``cross_inner``; the module docstring derives each term
         h = 1.0 / root
         mu_max = k_max * h
-        count = 2 * half + 1  # table entries
-        # every term a rule leaves out or wraps has a factor phi(t) <= 2 psi(t)
-        # at |t| >= 11, and the other factor at most _SKEW_SUP
-        tail = 8.0 * _SKEW_SUP * (_PSI_11 + _GAUSS_TAIL_11) + 4.0 * mu_max * _PSI_12 ** 2
+        count = 2 * reach + 1  # table entries
         # lattice: aliasing, the sum over j != 0 of |f^(2 pi j / h)| <= 0.7318
         # spread q^(j^2); the tail; table entries, with the rounding of m h;
         # FFT round-off; the product by h; the rounding of the mu levels
         q = math.exp(-((math.pi * root) / spread) ** 2)
         e = 2.0 * 0.7318 * spread * q / (1.0 - q ** 3) if q < 1.0 else math.inf
         tau = table_err + lip * _U * count * h
-        e += tail + h * tau * (2.0 * norm1 + 3.0 * count * tau)
+        e += _SKEW_TAIL + h * tau * (2.0 * norm1 + 3.0 * count * tau)
         e += h * (14.0 * math.log2(size) + 5.0) * _U * 2.0 * norm1 * norm2
         e += _U * _SKEW_SUP + 4.0 * _U * lip * mu_max
         # Simpson on a window of width <= `width`: its h^4 term and the window
         # tail; the rounding of its nodes, pdf values and products; then of
         # its dot product and scaling
         width = 2.0 * SIMPSON_HALF_WIDTH + mu_max
-        simpson = width * (width / SIMPSON_PANELS) ** 4 * sup_f4 / 180.0 + tail
+        simpson = width * (width / SIMPSON_PANELS) ** 4 * sup_f4 / 180.0 + _SKEW_TAIL
         node = 8.0 * _U * (width + mu_max)
         pdf_err = _U * (eval_abs + eval_rel * _SKEW_SUP)
         simpson += width * _SKEW_SUP * (2.0 * pdf_err + 2.0 * lip * node + _U * _SKEW_SUP)
@@ -652,8 +647,8 @@ class _LatticePlan:
     root: float            # sqrt(n); the lattice spacing is h = 1/root
     h: float
     bins: int              # K: samples are binned to b = -K..K
-    reach: int             # R: the transform takes table offsets up to R
-    tables: np.ndarray     # (P, 2 half + 1): E_p(m h) for m = -half..half, half = K + k_max
+    reach: int             # R: the tables hold the offsets the transform reads
+    tables: np.ndarray     # (P, 2R + 1): E_p(m h) for m = -R..R
     spectra: dict          # FFT length L -> (P, L//2 + 1): rfft of the tables laid out for L
     norm1: np.ndarray      # (P,): ||E_p||_1
     norm2: np.ndarray      # (P,): ||E_p||_2
@@ -663,8 +658,9 @@ class _LatticePlan:
     inner_err: float       # e >= max_j |inner_j - c_j|, 0 for the closed forms
 
 
-# Plans keyed by (kernel, n, k_max); a study runs one family at a few n.  The
-# largest (Cauchy, n = 8000, M = 10) holds 0.34 MB of tables, 0.39 MB per L.
+# Plans keyed by (kernel, n, k_max); a study runs one family at a few n.  At
+# n = 8000, M = 10 the tables take 0.05 MB (Gaussian), 0.14 MB (Laplace and
+# skew-Gaussian) and 0.34 MB (Cauchy, the largest, with 0.39 MB of spectra per L).
 _LATTICE_PLANS: dict[tuple, _LatticePlan] = {}
 
 
@@ -675,8 +671,9 @@ def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
     h = 1.0 / root
     steps = math.ceil(spec.far * root)
     bins = k_max + steps + 1
-    half = bins + k_max  # table offsets m = -half..half cover every (b, k) pair
-    t = np.arange(-half, half + 1) * h
+    # K + k_max covers every (b, k) pair; a spec's tail bounds the pairs past T
+    reach = bins + k_max if spec.tail is None else steps
+    t = np.arange(-reach, reach + 1) * h
     tables, table_err = spec.tables(t)
     tables.setflags(write=False)
     norm1 = np.sum(np.abs(tables), axis=1)
@@ -685,12 +682,13 @@ def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
         inner, err = cross_inner_many(kernel, grid.mu_levels), 0.0
     else:
         # c~(k h) = h sum_m phi(m h) phi((m - k) h) is the autocorrelation of
-        # the whole E_0(t) = phi(-t) table, whose lag k sits at index k mod L
-        size = 1 << (2 * half).bit_length()
+        # the E_0(t) = phi(-t) table, whose lag k sits at index k mod L; with
+        # L > 2R + k_max no lag |k| <= k_max wraps
+        size = 1 << (2 * reach + k_max).bit_length()
         spectrum = np.fft.rfft(tables[0], size)
         corr = np.fft.irfft(spectrum * spectrum.conj(), size)
         inner = h * np.concatenate([corr[size - k_max :], corr[1 : k_max + 1]])
-        err = spec.inner_bound(root, k_max, half, size, table_err[0], norm1[0], norm2[0])
+        err = spec.inner_bound(root, k_max, reach, size, table_err[0], norm1[0], norm2[0])
         if not (err < math.inf and np.all(np.isfinite(inner))):
             err = math.inf
     inner.setflags(write=False)
@@ -699,7 +697,7 @@ def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
         root=root,
         h=h,
         bins=bins,
-        reach=half if spec.tail is None else steps,
+        reach=reach,
         tables=tables,
         spectra={},
         norm1=norm1,
@@ -737,8 +735,8 @@ def _lattice_shift_sums(plan: _LatticePlan, grid: Grid, data: np.ndarray) -> tup
     # and the table offsets |t| <= w, laid out as the module docstring states
     b_lo, b_hi = (int(np.min(b)), int(np.max(b))) if m else (0, 0)
     size = 1 << max(b_hi + reach + k_max, k_max - b_lo + reach, b_hi - b_lo).bit_length()
-    w, half = min(reach, size - reach - 1), plan.tables.shape[1] // 2
-    spectra = memo(plan.spectra, size, lambda: np.fft.rfft(plan.tables[:, half - w : half + w + 1], size), 4)
+    w = min(reach, size - reach - 1)
+    spectra = memo(plan.spectra, size, lambda: np.fft.rfft(plan.tables[:, reach - w : reach + w + 1], size), 4)
     order = spectra.shape[0]
     moments = np.zeros((order, size))
     idx = (b - b_lo).astype(np.intp)

@@ -277,6 +277,8 @@ def cross_inner(kernel: Kernel, mu) -> float:
     m = as_point(kernel, mu)
     if kernel.dim > 1:
         return _gaussian_cross(float(np.dot(m, m)), math.exp, kernel.dim)
+    if math.isinf(m):  # every family's limit, where Laplace's form gives 0 inf
+        return 0.0
     if kernel.family in _CROSS:
         return _CROSS[kernel.family](m, math.exp)
     return memo(_SKEW_CACHE, (kernel.alpha, m), lambda: _skew_cross_quadrature(kernel, m), _SKEW_LIMIT)
@@ -292,7 +294,8 @@ def cross_inner_many(kernel: Kernel, mus) -> np.ndarray:
         return _gaussian_cross(np.sum(np.square(mus), axis=1), np.exp, kernel.dim)
     mus = np.atleast_1d(mus)
     if kernel.family in _CROSS:
-        return _CROSS[kernel.family](mus, np.exp)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite shift takes the limit 0
+            return np.where(np.isinf(mus), 0.0, _CROSS[kernel.family](mus, np.exp))
     shifts, where = np.unique(mus, return_inverse=True)  # one quadrature lookup per shift
     return np.array([cross_inner(kernel, m) for m in shifts])[where].reshape(mus.shape)
 

@@ -43,6 +43,15 @@ def _sq(v: np.ndarray) -> float:
     return float(np.dot(v, v))
 
 
+@np.errstate(over="ignore")
+def _halved(a: MixingDistribution, b: MixingDistribution):
+    """The pair with its shifts halved where mu - mu' overflows, else None.
+    W_p^p scales by 2^p with the shifts, and halving them is exact out there."""
+    if np.all(np.isfinite(a.mu - b.mu)):
+        return None
+    return MixtureParams(a.lam, a.mu / 2.0), MixtureParams(b.lam, b.mu / 2.0)
+
+
 def _w2_formula(la, lb, u, v, w):
     """W2^2 for lam = la <= lam' = lb from u = ||mu||^2, v = ||mu'||^2 and
     w = ||mu - mu'||^2; floats or arrays alike.
@@ -58,6 +67,7 @@ def _w2_formula(la, lb, u, v, w):
     return np.where(u + v >= w, onto_heavier, np.where(la + lb <= 1.0, light, heavy))
 
 
+@np.errstate(over="ignore")  # a square or difference past the float range is inf
 def w2_squared(g1: MixingDistribution, g2: MixingDistribution) -> float:
     """Closed-form squared 2-Wasserstein distance (three cases, ``_w2_formula``)."""
     a, b = _ordered(g1, g2)
@@ -83,7 +93,10 @@ def w1(g1: MixingDistribution, g2: MixingDistribution) -> float:
     W1 = (lam' - lam) ||mu'|| + lam ||mu - mu'||  for lam <= lam'.
     """
     a, b = _ordered(g1, g2)
-    return (b.lam - a.lam) * math.sqrt(_sq(b.mu)) + a.lam * math.sqrt(_sq(a.mu - b.mu))
+    if halved := _halved(a, b):
+        return 2.0 * w1(*halved)
+    # hypot squares nothing past either end of the float range
+    return (b.lam - a.lam) * math.hypot(*b.mu) + a.lam * math.hypot(*(a.mu - b.mu))
 
 
 def transport_oracle(g1: MixingDistribution, g2: MixingDistribution, p: int) -> float:
@@ -96,9 +109,10 @@ def transport_oracle(g1: MixingDistribution, g2: MixingDistribution, p: int) -> 
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
     a, b = _ordered(g1, g2)
-    nu = math.sqrt(_sq(a.mu)) ** p
-    nv = math.sqrt(_sq(b.mu)) ** p
-    nw = math.sqrt(_sq(a.mu - b.mu)) ** p
+    if halved := _halved(a, b):
+        return 2.0 ** p * transport_oracle(*halved, p)
+    norms = [math.hypot(*v) for v in (a.mu, b.mu, a.mu - b.mu)]
+    nu, nv, nw = norms if p == 1 else (x * x for x in norms)
     lo = max(a.lam + b.lam - 1.0, 0.0)
     hi = a.lam
     costs = [(b.lam - q) * nv + (a.lam - q) * nu + q * nw for q in (lo, hi)]

@@ -116,7 +116,8 @@ def l2_distance_sq(kernel: Kernel, theta1: MixtureParams, theta2: MixtureParams)
     _check_dim(kernel, theta2)
     if (theta2.lam, tuple(theta2.mu)) < (theta1.lam, tuple(theta1.mu)):
         theta1, theta2 = theta2, theta1
-    c = [cross_inner(kernel, m) for m in (theta1.mu, theta2.mu, theta1.mu - theta2.mu)]
+    with np.errstate(over="ignore"):  # a difference past the float range is an infinite shift
+        c = [cross_inner(kernel, m) for m in (theta1.mu, theta2.mu, theta1.mu - theta2.mu)]
     return max(_l2_formula(theta1.lam, theta2.lam, self_inner(kernel), *c), 0.0)
 
 
@@ -135,7 +136,8 @@ def l2_distance_sq_many(kernel: Kernel, lam1, mu1, lam2, mu2) -> np.ndarray:
     swap = (lam2 < lam1) | ((lam2 == lam1) & (mu2 < mu1))
     l1, l2 = np.where(swap, lam2, lam1), np.where(swap, lam1, lam2)
     m1, m2 = np.where(swap, mu2, mu1), np.where(swap, mu1, mu2)
-    shifts = (m1, m2, m1 - m2)
+    with np.errstate(over="ignore"):  # as in ``l2_distance_sq``
+        shifts = (m1, m2, m1 - m2)
     # one sort per shift array, not one of all three: it keeps the peak memory down
     distinct = np.unique(np.concatenate([np.unique(m) for m in shifts]))
     inner = np.array([cross_inner(kernel, m) for m in distinct.tolist()])

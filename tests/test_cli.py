@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import threading
@@ -8,6 +9,7 @@ import pytest
 
 from contamix.estimator import estimate
 from contamix.kernels import Kernel, cross_inner
+from contamix.metrics import w1
 from contamix.mixture import MixtureParams, sample_mixture
 
 REPO = Path(__file__).resolve().parent.parent
@@ -207,6 +209,32 @@ class TestWasserstein:
         )
         assert code == 0
         assert float(parse_kv(out)["w2_squared"]) == 0.0
+
+    # in process, under CI's -W error::RuntimeWarning: the squares of the
+    # shifts leave the float range at both ends
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "lam2, mu1, mu2",
+        [("0.3", "1e200", "-1e200"), ("0.2", "1e308", "-1e308"), ("0.2", "1e-200", "0")],
+        ids=["overflow", "difference_overflows", "underflow"],
+    )
+    def test_w1_at_the_ends_of_the_float_range(self, capsys, lam2, mu1, mu2):
+        from contamix import cli as cli_mod
+
+        argv = ["wasserstein", "--lambda1", "0.2", "--mu1", mu1, "--lambda2", lam2, f"--mu2={mu2}", "--p", "1"]
+        assert cli_mod.main(argv) == 0
+        value = w1(MixtureParams(0.2, float(mu1)), MixtureParams(float(lam2), float(mu2)))
+        assert 0.0 < value < math.inf
+        assert capsys.readouterr() == (f"w1={value!r}\n", "")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_w2_squared_past_the_float_range_is_a_data_error(self, capsys):
+        from contamix import cli as cli_mod
+
+        argv = ["wasserstein", "--lambda1", "0.2", "--mu1", "1e200", "--lambda2", "0.3", "--mu2=-1e200", "--p", "2"]
+        assert cli_mod.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and one_error_line(err) and "w2_squared" in err
 
 
 class TestInnerProduct:

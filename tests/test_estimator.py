@@ -28,6 +28,12 @@ from conftest import cross_oracle
 
 GAUSS = Kernel("gaussian")
 GAUSS2 = Kernel("gaussian", dim=2)
+SKEW = Kernel("skew_gaussian", alpha=10.0)
+LATTICE_KERNELS = [GAUSS, Kernel("laplace"), Kernel("cauchy"), SKEW]
+
+
+def family(kernel):
+    return kernel.family
 
 
 def naive_scan(kernel, data, grid):
@@ -404,6 +410,31 @@ class TestLatticePlan:
         assert plan.inner.tobytes() == expected.tobytes()
         assert plan.inner_err == 0.0
 
+    @pytest.mark.parametrize("kernel", LATTICE_KERNELS, ids=family)
+    @pytest.mark.parametrize("n", [1000, 5000, 500, 2000, 8000], ids=["desk", "full", "rate500", "rate2000", "rate8000"])
+    def test_tables_span_the_offsets_the_transform_reads(self, kernel, n):
+        # the study grids (M = 10): a tail bound lets the Gaussian and the
+        # skew-Gaussian tables stop at T; the others reach every (b, k) pair
+        grid = build_grid(n, 10.0, 1)
+        plan = estimator._lattice_plan(kernel, grid)
+        k_max = grid.mu_levels.shape[0] // 2
+        reach = math.ceil(plan.spec.far * plan.root) if plan.spec.tail else plan.bins + k_max
+        assert plan.reach == reach
+        assert plan.tables.shape[1] == 2 * plan.reach + 1
+
+    @pytest.mark.parametrize("kernel, limit", [(GAUSS, 0.3), (SKEW, 0.8)], ids=["gaussian", "skew_gaussian"])
+    def test_plan_build_memory(self, kernel, limit):
+        # the n = 8000 grid of the rate study: MiB at the traced peak
+        grid = build_grid(8000, 10.0, 1)
+        estimator._lattice_plan(kernel, grid)  # first calls allocate module state
+        tracemalloc.start()
+        try:
+            estimator._lattice_plan(kernel, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2 ** 20
+
     def test_grids_with_one_k_max_share_a_plan(self, monkeypatch):
         monkeypatch.setattr(estimator, "_LATTICE_PLANS", {})
         # floor(M sqrt(400)) = 60 for both bounds
@@ -440,72 +471,15 @@ def assert_lattice_scan_exact(data, M, kernel=GAUSS, inner_products=None):
     assert np.float64(res.contrast_value).tobytes() == np.float64(val).tobytes()
 
 
-class TestLatticeScan:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(4, 3000),
-        M=st.floats(1.0, 10.0),
-        lam=st.floats(0.01, 0.99),
-        mu_frac=st.floats(-1.0, 1.0),
-        seed=st.integers(0, 2 ** 32 - 1),
-    )
-    def test_matches_direct_path(self, n, M, lam, mu_frac, seed):
-        data = sample_mixture(GAUSS, MixtureParams(lam, mu_frac * M), n, seed=seed)
-        assert_lattice_scan_exact(data, M)
-
-    def test_symmetric_data_ties(self, monkeypatch):
-        # x and -x give gamma(mu) = gamma(-mu) up to rounding: both columns
-        # of the minimum must be recomputed and the direct tie rule decides
-        x = sample_mixture(GAUSS, MixtureParams(0.3, 1.5), 600, seed=21)
-        data = np.concatenate([x, -x])
-        sizes = spy_precompute(monkeypatch)
-        assert_lattice_scan_exact(data, 4.0)
-        assert sizes[-1] >= 2
-
-    def test_samples_on_bin_edges(self):
-        n, M = 900, 3.0
-        h = 1.0 / math.sqrt(n)
-        k = np.random.default_rng(5).integers(-140, 140, size=n)
-        assert_lattice_scan_exact((k + 0.5) * h, M)
-
-    @pytest.mark.parametrize("value", [0.0, 0.37, -2.5])
-    def test_repeated_value(self, value):
-        # one occupied bin
-        assert_lattice_scan_exact(np.full(400, value), 3.0)
-        size, fixed = transform_length(GAUSS, np.full(400, value), 3.0)
-        assert size <= fixed
-
-    def test_far_outliers_keep_memory_bounded(self):
-        data = sample_mixture(GAUSS, MixtureParams(0.25, 2.0), 2000, seed=9)
-        data[:4] = [1e6, -1e6, 1e6 + 0.5, 40.0]
-        assert_lattice_scan_exact(data, 10.0)
-        grid = build_grid(2000, 10.0, 1)
-        plan = estimator._grid_plan(GAUSS, grid)
-        tracemalloc.start()
-        try:
-            estimator._lattice_shift_sums(plan, grid, data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the bins span the mu levels plus T, not the data range
-        assert peak < 8 * 2 ** 20
-
-    def test_all_samples_far(self):
-        # nothing is binned; the skipped sums (~1e-183) are covered by eps
-        assert_lattice_scan_exact(np.linspace(30.0, 31.0, 64), 1.0)
-        size, fixed = transform_length(GAUSS, np.linspace(30.0, 31.0, 64), 1.0)
-        assert size <= fixed
-
-
 def transform_length(kernel, data, M):
     """The FFT length of one lattice transform of ``data`` on a fresh plan,
-    and the length 1 << (2 half).bit_length() of the fixed layout, whose
-    bins span -K..K and whose table reaches every (b, k) pair."""
+    and the length 1 << (2 (K + k_max)).bit_length() of the fixed layout,
+    whose bins span -K..K and whose table reaches every (b, k) pair."""
     grid = build_grid(len(data), M, 1)
     plan = estimator._lattice_plan(kernel, grid)
     estimator._lattice_shift_sums(plan, grid, data)
     (size,) = plan.spectra
-    return size, 1 << (plan.tables.shape[1] - 1).bit_length()
+    return size, 1 << (2 * (plan.bins + grid.mu_levels.shape[0] // 2)).bit_length()
 
 
 class TestTransformWindow:
@@ -541,7 +515,7 @@ class TestTransformWindow:
         # R = K - k_max - 1 and 2K a power of two: the reach alone asks for
         # L = 2K, one short of the 2K + 1 occupied bins -K..K
         plan = estimator._lattice_plan(kernel, build_grid(n, M, 1))
-        assert plan.reach < plan.tables.shape[1] // 2
+        assert plan.reach < plan.bins
         assert (2 * plan.bins).bit_count() == 1
         data = sample_mixture(kernel, MixtureParams(0.3, 1.0), n, seed=4)
         data[:2] = np.array([-1.0, 1.0]) * (plan.bins - 0.25) * plan.h
@@ -559,7 +533,7 @@ class TestTransformWindow:
             data = sample_mixture(GAUSS, MixtureParams(0.3, 1.5), 100, seed=seed)
             grid = build_grid(100, 3.0, 1)
             plan = estimator._grid_plan(GAUSS, grid)
-            assert plan.reach == 10 < plan.tables.shape[1] // 2
+            assert plan.reach == 10 < plan.bins
             sums, eps = estimator._lattice_shift_sums(plan, grid, data)
             assert np.max(np.abs(sums - precompute(GAUSS, grid, data).shift_sums)) <= eps / 2
             assert_lattice_scan_exact(data, 3.0)
@@ -613,17 +587,18 @@ class TestCertifiedScanDim2:
         assert sizes[-1] >= 2
 
 
-SKEW = Kernel("skew_gaussian", alpha=10.0)
-NON_GAUSSIAN = [Kernel("laplace"), Kernel("cauchy"), SKEW]
-
-
-def family(kernel):
-    return kernel.family
+def with_gaussian_case(default, extra, extra_id):
+    """(kernel, value) cases: every family with ``default``, and the Gaussian
+    also with ``extra``."""
+    cases = [pytest.param(kernel, default, id=kernel.family) for kernel in LATTICE_KERNELS]
+    return cases + [pytest.param(GAUSS, extra, id=extra_id)]
 
 
 class TestLatticeFamilies:
-    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
-    @settings(max_examples=25, deadline=None)
+    """Every family's lattice scan gives the bits of precompute + _scan_table."""
+
+    @pytest.mark.parametrize("kernel", LATTICE_KERNELS, ids=family)
+    @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(4, 3000),
         M=st.floats(1.0, 10.0),
@@ -640,10 +615,15 @@ class TestLatticeFamilies:
             inner = np.array([cross_oracle(kernel, m, 256) for m in build_grid(n, M, 1).mu_levels])
         assert_lattice_scan_exact(data, M, kernel, inner)
 
-    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
-    def test_far_outliers_keep_memory_bounded(self, kernel):
+    @pytest.mark.parametrize(
+        "kernel, outliers",
+        with_gaussian_case(
+            [1e6, -1e6, 1e6 + 0.5, -1e6 - 0.5, 1e5, 40.0, -40.0, 31.0], [1e6, -1e6, 1e6 + 0.5, 40.0], "gaussian-four"
+        ),
+    )
+    def test_far_outliers_keep_memory_bounded(self, kernel, outliers):
         data = sample_mixture(kernel, MixtureParams(0.25, 2.0), 2000, seed=9)
-        data[:8] = [1e6, -1e6, 1e6 + 0.5, -1e6 - 0.5, 1e5, 40.0, -40.0, 31.0]
+        data[: len(outliers)] = outliers
         assert_lattice_scan_exact(data, 10.0, kernel)
         grid = build_grid(2000, 10.0, 1)
         plan = estimator._grid_plan(kernel, grid)
@@ -653,6 +633,7 @@ class TestLatticeFamilies:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # the bins span the mu levels plus T, not the data range
         assert peak < 8 * 2 ** 20
 
     def test_cauchy_outlier_mass(self):
@@ -661,22 +642,24 @@ class TestLatticeFamilies:
         data[::5] = np.where(np.arange(300) % 2, 1e6, -1e6) * (1.0 + np.arange(300) / 300)
         assert_lattice_scan_exact(data, 5.0, Kernel("cauchy"))
 
-    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
+    @pytest.mark.parametrize("kernel", LATTICE_KERNELS, ids=family)
     def test_symmetric_data_ties(self, kernel, monkeypatch):
         x = sample_mixture(kernel, MixtureParams(0.3, 1.5), 600, seed=21)
         sizes = spy_precompute(monkeypatch)
         assert_lattice_scan_exact(np.concatenate([x, -x]), 4.0, kernel)
         if kernel.family != "skew_gaussian":
-            # gamma(mu) = gamma(-mu) up to rounding for a symmetric kernel
+            # gamma(mu) = gamma(-mu) up to rounding for a symmetric kernel:
+            # both columns of the minimum are recomputed, and the direct tie
+            # rule decides
             assert sizes[-1] >= 2
 
-    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
+    @pytest.mark.parametrize("kernel", LATTICE_KERNELS, ids=family)
     def test_samples_on_bin_edges(self, kernel):
         n, M = 900, 3.0
         k = np.random.default_rng(5).integers(-140, 140, size=n)
         assert_lattice_scan_exact((k + 0.5) / math.sqrt(n), M, kernel)
 
-    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
+    @pytest.mark.parametrize("kernel", LATTICE_KERNELS, ids=family)
     @pytest.mark.parametrize("value", [0.0, 0.37, -2.5])
     def test_repeated_value(self, kernel, value):
         # one occupied bin
@@ -684,21 +667,23 @@ class TestLatticeFamilies:
         size, fixed = transform_length(kernel, np.full(400, value), 3.0)
         assert size <= fixed
 
-    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
+    @pytest.mark.parametrize("kernel", LATTICE_KERNELS, ids=family)
     @pytest.mark.parametrize("n, value", [(16, 0.37), (100, 0.149)])
     def test_coarse_lattice_offset_near_half_bin(self, kernel, n, value):
         # r close to h/2 on a coarse lattice: the last Taylor term is far
         # above every rounding term of eps
         assert_lattice_scan_exact(np.full(n, value), 2.0, kernel)
 
-    @pytest.mark.parametrize("kernel", NON_GAUSSIAN, ids=family)
-    def test_all_samples_far(self, kernel):
-        # beyond every family's cutoff: nothing is binned
-        assert_lattice_scan_exact(np.linspace(50.0, 51.0, 64), 1.0, kernel)
-        size, fixed = transform_length(kernel, np.linspace(50.0, 51.0, 64), 1.0)
+    @pytest.mark.parametrize("kernel, start", with_gaussian_case(50.0, 30.0, "gaussian-30"))
+    def test_all_samples_far(self, kernel, start):
+        # beyond every family's cutoff: nothing is binned; at 30 the
+        # Gaussian's skipped sums (~1e-183) are covered by eps
+        data = np.linspace(start, start + 1.0, 64)
+        assert_lattice_scan_exact(data, 1.0, kernel)
+        size, fixed = transform_length(kernel, data, 1.0)
         assert size <= fixed
 
-    @pytest.mark.parametrize("kernel", [GAUSS] + NON_GAUSSIAN, ids=family)
+    @pytest.mark.parametrize("kernel", LATTICE_KERNELS, ids=family)
     def test_rate_scaling_largest_n(self, kernel, monkeypatch):
         # the n = 8000 cell of the rate-scaling study, which the benchmark's
         # naive-contrast spot checks leave out
@@ -707,7 +692,7 @@ class TestLatticeFamilies:
         assert_lattice_scan_exact(data, 10.0, kernel)
         assert sizes[-1] < 8  # only the candidate columns are recomputed
 
-    @pytest.mark.parametrize("kernel", [GAUSS] + NON_GAUSSIAN, ids=family)
+    @pytest.mark.parametrize("kernel", LATTICE_KERNELS, ids=family)
     @pytest.mark.parametrize("spread", [(0.8, 1.2), (1.5, 3.0)])
     def test_explicit_inner_products_take_the_lattice(self, kernel, spread, monkeypatch):
         # Monte-Carlo-like inner products go through the certified scan too;
@@ -755,10 +740,15 @@ class TestSkewLatticeInner:
         assert_lattice_scan_exact(data, M, kernel)
 
     @pytest.mark.parametrize("alpha", SKEW_ALPHAS)
-    @pytest.mark.parametrize("n", [4, 16, 500, 2000, 8000])
-    def test_bound_holds_at_every_level(self, alpha, n):
+    @pytest.mark.parametrize(
+        "n, M", [(4, 4.0), (16, 4.0), (500, 4.0), (2000, 4.0), (8000, 4.0), (1806, 20.0)],
+        ids=["4", "16", "500", "2000", "8000", "1806-M20"],
+    )
+    def test_bound_holds_at_every_level(self, alpha, n, M):
+        # at n = 1806, M = 20, 2R = 1020 lies just under 1024 and k_max = 849:
+        # an autocorrelation of length 1024 would wrap most lags
         kernel = Kernel("skew_gaussian", alpha=alpha)
-        grid = build_grid(n, 4.0, 1)
+        grid = build_grid(n, M, 1)
         plan = estimator._grid_plan(kernel, grid)
         simpson = cross_inner_many(kernel, grid.mu_levels)
         assert np.max(np.abs(plan.inner - simpson)) <= plan.inner_err
@@ -845,7 +835,7 @@ class TestCutoffs:
     the exact scan and sums within eps of a long-double reference."""
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
-    @pytest.mark.parametrize("kernel", [GAUSS] + NON_GAUSSIAN, ids=family)
+    @pytest.mark.parametrize("kernel", LATTICE_KERNELS, ids=family)
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(64, 1500),

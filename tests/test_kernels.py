@@ -509,6 +509,17 @@ class TestOverflow:
             warnings.simplefilter("error", RuntimeWarning)
             assert cross_inner(SKEW, mu) == 0.0
 
+    @pytest.mark.parametrize("kernel", [GAUSS, LAPLACE, CAUCHY, SKEW], ids=lambda k: k.family)
+    def test_infinite_shift_gives_the_limit_zero(self, kernel, monkeypatch):
+        # Laplace's closed form is 0 inf there, and Simpson's window is infinite
+        monkeypatch.setattr(kernels, "_SKEW_CACHE", {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cross_inner(kernel, math.inf) == cross_inner(kernel, -math.inf) == 0.0
+            got = cross_inner_many(kernel, [math.inf, 1.0, -math.inf])
+        assert got.tolist() == [0.0, *cross_inner_many(kernel, [1.0]).tolist(), 0.0]
+        assert not any(math.isnan(v) for v in kernels._SKEW_CACHE.values())
+
     def test_cli_prints_no_warning_under_w_error(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         stdout = {}

@@ -162,3 +162,36 @@ class TestW2Arrays:
             w2_squared_many([0.2, lam], [1.0, mu], 0.5, 0.5)
         with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
             w2_squared_many(0.5, 0.5, [0.2, lam], [1.0, mu])
+
+
+class TestFloatRange:
+    """W1 and the oracle take norms without squaring past either end of the
+    float range, and keep their 1-d bits wherever the square is a normal float."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a, b, want",
+        [(G(0.2, 1e200), G(0.3, -1e200), 5e199),
+         (G(0.2, [1e160, 1e160]), G(0.3, [-1e160, 1e160]), (0.4 + 0.1 * math.sqrt(2.0)) * 1e160),
+         (G(0.2, 1e308), G(0.2, -1e308), 4e307),
+         (G(0.2, [1e308, 1e308]), G(0.2, [-1e308, -1e308]), 0.4 * math.sqrt(2.0) * 1e308)],
+        ids=["d1", "d2", "difference_overflows_d1", "difference_overflows_d2"],
+    )
+    def test_w1_past_the_square_range_matches_oracle(self, a, b, want):
+        assert w1(a, b) == transport_oracle(a, b, 1) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_w1_below_the_square_range_is_positive(self):
+        # the squares (1e-400) underflow to 0; the measures differ
+        a, b = G(0.2, 1e-200), G(0.2, 0.0)
+        assert w1(a, b) == transport_oracle(a, b, 1) == pytest.approx(2e-201, rel=1e-15, abs=0.0)
+
+    def test_1d_bits_where_the_squares_are_normal(self):
+        # in d = 1 every norm is the square root of the square, as before
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            a, b = sorted((G(rng.uniform(), rng.uniform(-5, 5)) for _ in range(2)), key=lambda g: g.lam)
+            nu, nv, nw = (math.sqrt(float(v[0] * v[0])) for v in (a.mu, b.mu, a.mu - b.mu))
+            assert w1(a, b) == (b.lam - a.lam) * nv + a.lam * nw
+            ends = (max(a.lam + b.lam - 1.0, 0.0), a.lam)
+            assert transport_oracle(a, b, 1) == min((b.lam - q) * nv + (a.lam - q) * nu + q * nw for q in ends)

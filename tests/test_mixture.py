@@ -195,6 +195,17 @@ class TestDistanceArrays:
             l2_distance_sq_many(Kernel("gaussian", dim=2), 0.2, 1.0, 0.5, 0.5)
 
 
+class TestInfiniteShift:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shift_difference_past_the_float_range(self, any_kernel):
+        # mu1 - mu2 is -inf, whose inner product is every family's limit 0, as
+        # are those at +-1e308: (a^2 + lam1^2 + lam2^2) ||phi||^2 remains
+        got = l2_distance_sq(any_kernel, MixtureParams(0.5, 1e308), MixtureParams(0.4, -1e308))
+        many = l2_distance_sq_many(any_kernel, [0.5, 0.4], [1e308, -1e308], [0.4, 0.5], [-1e308, 1e308])
+        assert got == pytest.approx(0.42 * self_inner(any_kernel), rel=1e-14)
+        assert many.tobytes() == np.array([got, got]).tobytes()
+
+
 class TestSampling:
     def test_empty(self, any_kernel):
         assert sample_mixture(any_kernel, MixtureParams(0.5, 1.0), 0, seed=1).shape[0] == 0
