@@ -6,6 +6,7 @@ Every subcommand is a thin adapter over the library; outputs are line-oriented
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -205,6 +206,7 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if report.passed else EXIT_CERTIFY
 
 
+@functools.cache  # built on the first call, not at import; parse_args leaves it unchanged
 def _make_parser() -> _Parser:
     parser = _Parser(prog="contamix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -87,7 +87,7 @@ their spectra per FFT length, and the grid's inner products c~_j with a
 bound e >= max_j |c~_j - c_j| against the values c_j of ``cross_inner``.
 For the closed forms c~ is ``cross_inner_many`` on the mu levels and e = 0.
 The skew-Gaussian has no closed form for c(mu) = <phi, phi_mu>;
-``cross_inner`` takes it by a 16 385-point Simpson rule, about 0.25-0.3 ms
+``cross_inner`` takes it by a 16 385-point Simpson rule, about 0.15-0.21 ms
 per mu level at alpha = 10.  Its plan instead holds the trapezoid rule on
 the lattice,
 

@@ -214,7 +214,13 @@ def _skew_cross_quadrature(kernel: Kernel, mu: float) -> float:
     over 10 000 terms among all cores, so np.dot's bits would depend on the
     core count; summing the halves on one thread gives its two-core bits,
     which the pinned outputs hold, on any core count.
+
+    A factor is exactly 0.0 where its erfc argument exceeds ``ERFC_ZERO_ABOVE``,
+    a block of nodes at the low end (alpha > 0) or the high end (alpha < 0).
+    Bisection on that argument in Python floats, numpy's IEEE operations, finds
+    each block exactly; the factors run between, the dot product on all nodes.
     """
+    alpha = kernel.alpha
     lo = min(0.0, mu) - SIMPSON_HALF_WIDTH
     hi = max(0.0, mu) + SIMPSON_HALF_WIDTH
     h = (hi - lo) / SIMPSON_PANELS
@@ -224,9 +230,18 @@ def _skew_cross_quadrature(kernel: Kernel, mu: float) -> float:
         np.multiply(nodes, h, out=xs)
         xs += lo
         xs[-1] = hi
-        _skew_pdf(kernel.alpha, xs, vals, tmp, ascending=True)
-        xs -= mu
-        vals *= _skew_pdf(kernel.alpha, xs, xs, tmp, ascending=True)
+        start, stop = 0, SIMPSON_PANELS + 1
+        if math.isfinite(mu):  # else nan or inf products on the whole window
+            # each factor's first node past its zero block (alpha > 0), or first node in it
+            key = lambda s: lambda x: ((float(x) - s) * -alpha / _SQRT_2 > ERFC_ZERO_ABOVE) != (alpha > 0)
+            cuts = [bisect.bisect_left(xs, True, key=key(s)) for s in (0.0, mu)]
+            start, stop = (max(cuts), stop) if alpha > 0 else (0, min(cuts))
+            vals[:start] = 0.0
+            vals[stop:] = 0.0
+        x, v, t = xs[start:stop], vals[start:stop], tmp[start:stop]
+        _skew_pdf(alpha, x, v, t, ascending=True)
+        x -= mu
+        v *= _skew_pdf(alpha, x, x, t, ascending=True)
         k = (SIMPSON_PANELS + 2) // 2  # OpenBLAS's first of two shares
         return float((np.dot(weights[:k], vals[:k]) + np.dot(weights[k:], vals[k:])) * (h / 3.0))
 

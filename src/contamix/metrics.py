@@ -115,5 +115,8 @@ def transport_oracle(g1: MixingDistribution, g2: MixingDistribution, p: int) -> 
     nu, nv, nw = norms if p == 1 else (x * x for x in norms)
     lo = max(a.lam + b.lam - 1.0, 0.0)
     hi = a.lam
-    costs = [(b.lam - q) * nv + (a.lam - q) * nu + q * nw for q in (lo, hi)]
-    return min(costs)
+
+    def term(weight, norm):  # a zero weight drops its term, also where norm overflowed to inf
+        return weight * norm if weight else 0.0
+
+    return min(term(b.lam - q, nv) + term(a.lam - q, nu) + term(q, nw) for q in (lo, hi))

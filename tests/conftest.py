@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import owens_t
 
 from contamix.kernels import Kernel, pdf_many
 
@@ -67,3 +70,14 @@ def cross_oracle(kernel: Kernel, mu: float, panels: int, half_width: float = 12.
         max(0.0, mu) + half_width,
         panels,
     )
+
+
+def skew_cross_closed(alpha: float, mu):
+    """<phi, phi_mu> of the skew-Gaussian in closed form, independent of any
+    quadrature: (2 / sqrt pi) e^(-mu^2 / 4) Phi_2(h, -h; rho) with
+    h = alpha mu / (2 sigma), sigma^2 = 1 + alpha^2 / 2, rho = (alpha^2 / 2) / sigma^2.
+    By Owen (1956), Phi_2(h, -h; rho) = 2 T(h, sqrt((1 + rho) / (1 - rho))), and
+    (1 + rho) / (1 - rho) = 1 + alpha^2."""
+    sigma = math.sqrt(1.0 + alpha * alpha / 2.0)
+    t = owens_t(alpha * np.asarray(mu) / (2.0 * sigma), math.sqrt(1.0 + alpha * alpha))
+    return 4.0 / math.sqrt(math.pi) * np.exp(-np.square(mu) / 4.0) * t

@@ -577,6 +577,31 @@ class TestDim2Estimate:
 
 
 class TestInProcess:
+    # skew_kappa_alpha_*.csv were written by `contamix certify --check kappa`
+    # before the Simpson rule skipped the nodes outside its integrand's support:
+    # alpha < 0 has its zero blocks at the other end, and alpha = 0.5 has none
+    @pytest.mark.parametrize("alpha", ["-10", "0.5"])
+    def test_skew_kappa_surface_reproduces_golden_csv(self, alpha, tmp_path, capsys):
+        from contamix import cli as cli_mod
+
+        out = tmp_path / "kappa.csv"
+        argv = ["certify", "--kernel", "skew_gaussian", f"--alpha={alpha}", "--check", "kappa", "--out", str(out)]
+        assert cli_mod.main(argv) == 0
+        assert out.read_bytes() == (REPO / "tests" / "golden" / f"skew_kappa_alpha_{alpha}.csv").read_bytes()
+
+    def test_usage_error_after_a_successful_call_exits_1(self, capsys):
+        from contamix import cli as cli_mod
+
+        ok = ["wasserstein", "--lambda1", "0.2", "--mu1", "1", "--lambda2", "0.3", "--mu2", "2"]
+        assert cli_mod.main(ok) == 0
+        first = capsys.readouterr().out
+        for bad in (["wasserstein", "--nope", "1"], ["certify", "--kernel", "gaussian"], []):
+            assert cli_mod.main(bad) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines()[-1].startswith("contamix: error: ")
+        assert cli_mod.main(ok) == 0 and capsys.readouterr().out == first
+        assert cli_mod._make_parser() is cli_mod._make_parser()  # built once per process
+
     def test_failed_scan_exits_3(self, monkeypatch):
         from contamix import cli as cli_mod
         from contamix.certify import ScanReport

@@ -24,7 +24,7 @@ from contamix.estimator import (
 from contamix.kernels import Kernel, cross_inner, cross_inner_many, pdf, self_inner
 from contamix.mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf, sample_mixture
 
-from conftest import cross_oracle
+from conftest import cross_oracle, skew_cross_closed
 
 GAUSS = Kernel("gaussian")
 GAUSS2 = Kernel("gaussian", dim=2)
@@ -755,6 +755,27 @@ class TestSkewLatticeInner:
         if n >= 500 and abs(alpha) <= 10.0:
             # the bound is small where the lattice resolves the kernel
             assert plan.inner_err < 1e-6
+
+    @pytest.mark.parametrize("alpha", SKEW_ALPHAS)
+    def test_closed_form_at_zero_shift(self, alpha):
+        # Phi_2(0, 0; rho) = 1/4 + asin(rho) / (2 pi) (Sheppard)
+        rho = (alpha * alpha / 2.0) / (1.0 + alpha * alpha / 2.0)
+        want = 2.0 / math.sqrt(math.pi) * (0.25 + math.asin(rho) / (2.0 * math.pi))
+        assert skew_cross_closed(alpha, 0.0) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", SKEW_ALPHAS)
+    @pytest.mark.parametrize("n, M", [(2000, 4.0), (8000, 10.0)], ids=["2000", "8000-M10"])
+    def test_simpson_and_lattice_values_hold_against_the_closed_form(self, alpha, n, M):
+        # both values lie within the plan's bound e of the closed form (measured:
+        # at most 4.4e-16 apart, 1.7e-11 to 2.1e-6 of e), and the Simpson rule within
+        # 1e-14, the closed form's own accuracy (owens_t, about 1e-14 relative)
+        kernel = Kernel("skew_gaussian", alpha=alpha)
+        grid = build_grid(n, M, 1)
+        plan = estimator._grid_plan(kernel, grid)
+        exact = skew_cross_closed(alpha, grid.mu_levels)
+        simpson = cross_inner_many(kernel, grid.mu_levels)
+        assert np.max(np.abs(simpson - exact)) <= min(plan.inner_err, 1e-14)
+        assert np.max(np.abs(plan.inner - exact)) <= plan.inner_err
 
     def test_huge_alpha_recomputes_every_column(self, monkeypatch):
         # the lattice cannot resolve Psi(alpha t) at n = 16: e is useless and

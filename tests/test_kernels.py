@@ -363,9 +363,24 @@ class TestQuadratureDefaults:
         tail_lo, _ = integrate.quad(lambda x: pdf(SKEW, x), -np.inf, -width)
         assert tail + tail_lo < 1e-12
 
-    @settings(max_examples=60, deadline=None)
-    @given(alpha=st.sampled_from([10.0, -0.5]), mu=st.floats(-40.0, 40.0))
-    def test_in_place_rule_has_the_linspace_bits(self, alpha, mu):
+    # the Simpson rule's alphas: both signs, from where its zero blocks leave the
+    # window (1e-3, 0.5) to where the cut lies within rounding of a shift (-1e12)
+    CUT_ALPHAS = [10.0, -10.0, 0.5, -0.5, 1e3, -1e3, 1e6, -1e12, 1e-3]
+    # (alpha, shift) with a node whose erfc argument is exactly ERFC_ZERO_ABOVE:
+    # in the second factor at alpha = +-10, in the first at the first shift of
+    # +-0.5 and 1e-3 and in the second at the other; from |alpha| = 1e3 on the
+    # nodes next to a cut are too coarse to hit it exactly
+    ON_NODE = [
+        (10.0, 4.999310044144166), (-10.0, -4.999310044144166),
+        (0.5, -99.99765028455225), (0.5, 99.99765028455225),
+        (-0.5, 99.99765028455225), (-0.5, -99.99765028455226),
+        (1e-3, -49998.3411287727), (1e-3, 49998.3411287727),
+    ]
+
+    @staticmethod
+    def _linspace_rule(alpha, mu):
+        """The rule on np.linspace nodes with every density on every node, and
+        the nodes with each factor's erfc argument."""
         lo, hi = min(0.0, mu) - kernels.SIMPSON_HALF_WIDTH, max(0.0, mu) + kernels.SIMPSON_HALF_WIDTH
         xs = np.linspace(lo, hi, kernels.SIMPSON_PANELS + 1)
 
@@ -376,7 +391,45 @@ class TestQuadratureDefaults:
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         v, k = density(xs) * density(xs - mu), (xs.size + 1) // 2
         want = float((np.dot(w[:k], v[:k]) + np.dot(w[k:], v[k:])) * ((hi - lo) / kernels.SIMPSON_PANELS / 3.0))
+        return want, xs, [(xs - s) * -alpha / math.sqrt(2.0) for s in (0.0, mu)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.sampled_from(CUT_ALPHAS), mu=st.floats(-40.0, 40.0))
+    def test_in_place_rule_has_the_linspace_bits(self, alpha, mu):
+        want, _, _ = self._linspace_rule(alpha, mu)
         assert kernels._skew_cross_quadrature(Kernel("skew_gaussian", alpha), mu) == want
+
+    @pytest.mark.parametrize(
+        "alpha, mu", ON_NODE + [(10.0, 5.0), (10.0, -3.0), (1e3, 0.7), (-1e3, -2.0), (1e6, 3.0), (-1e12, -2.0)]
+    )
+    def test_factors_run_on_the_support_only(self, alpha, mu, monkeypatch):
+        want, xs, ts = self._linspace_rule(alpha, mu)
+        if (alpha, mu) in self.ON_NODE:
+            assert any(np.any(t == kernels.ERFC_ZERO_ABOVE) for t in ts)
+        # the nodes where neither factor's erfc is exactly 0: one block
+        support = np.flatnonzero((ts[0] <= kernels.ERFC_ZERO_ABOVE) & (ts[1] <= kernels.ERFC_ZERO_ABOVE))
+        assert support[-1] - support[0] + 1 == support.size < kernels.SIMPSON_PANELS + 1
+        seen, skew_pdf = [], kernels._skew_pdf
+
+        def spy(a, x, *rest, **kw):
+            seen.append(x.copy())
+            return skew_pdf(a, x, *rest, **kw)
+
+        class DotSpy:  # numpy, with the lengths of the dot products recorded
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def dot(self, a, b):
+                lengths.append(a.size)
+                return np.dot(a, b)
+
+        lengths = []
+        monkeypatch.setattr(kernels, "_skew_pdf", spy)
+        monkeypatch.setattr(kernels, "np", DotSpy())
+        assert kernels._skew_cross_quadrature(Kernel("skew_gaussian", alpha), mu) == want
+        assert [x.tolist() for x in seen] == [xs[support].tolist(), (xs[support] - mu).tolist()]
+        # zeros included, the dot product keeps its two fixed halves of every node
+        assert lengths == [(xs.size + 1) // 2, xs.size // 2]
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         shifts = [-7.3, -0.4, 0.0, 1.3, 2.0, 9.1]

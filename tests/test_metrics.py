@@ -187,11 +187,19 @@ class TestFloatRange:
         assert w1(a, b) == transport_oracle(a, b, 1) == pytest.approx(2e-201, rel=1e-15, abs=0.0)
 
     def test_1d_bits_where_the_squares_are_normal(self):
-        # in d = 1 every norm is the square root of the square, as before
+        # in d = 1 every norm is the square root of the square, as before, and
+        # the oracle's endpoint costs are the three-term sums they were
         rng = np.random.default_rng(24)
         for _ in range(300):
             a, b = sorted((G(rng.uniform(), rng.uniform(-5, 5)) for _ in range(2)), key=lambda g: g.lam)
-            nu, nv, nw = (math.sqrt(float(v[0] * v[0])) for v in (a.mu, b.mu, a.mu - b.mu))
-            assert w1(a, b) == (b.lam - a.lam) * nv + a.lam * nw
+            norms = [math.sqrt(float(v[0] * v[0])) for v in (a.mu, b.mu, a.mu - b.mu)]
+            assert w1(a, b) == (b.lam - a.lam) * norms[1] + a.lam * norms[2]
             ends = (max(a.lam + b.lam - 1.0, 0.0), a.lam)
-            assert transport_oracle(a, b, 1) == min((b.lam - q) * nv + (a.lam - q) * nu + q * nw for q in ends)
+            for p, (nu, nv, nw) in ((1, norms), (2, [x * x for x in norms])):
+                assert transport_oracle(a, b, p) == min((b.lam - q) * nv + (a.lam - q) * nu + q * nw for q in ends)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_oracle_is_inf_where_w2_squared_overflows(self):
+        # the squared norms are inf, and the endpoint q = 0 has a zero weight on one of them
+        a, b = G(0.2, 1e200), G(0.3, -1e200)
+        assert transport_oracle(a, b, 2) == w2_squared(a, b) == math.inf
