@@ -86,17 +86,17 @@ memoised per kernel, n and k_max) holds the family's spec, its tables and
 their spectra per FFT length, and the grid's inner products c~_j with a
 bound e >= max_j |c~_j - c_j| against the values c_j of ``cross_inner``.
 For the closed forms c~ is ``cross_inner_many`` on the mu levels and e = 0.
-The skew-Gaussian has no closed form for c(mu) = <phi, phi_mu>;
-``cross_inner`` takes it by a 16 385-point Simpson rule, about 0.15-0.21 ms
-per mu level at alpha = 10.  Its plan instead holds the trapezoid rule on
-the lattice,
+The skew-Gaussian's c(mu) = <phi, phi_mu> has no elementary closed form; up
+to |alpha| = 128 ``cross_inner`` takes it by a 16 385-point Simpson rule,
+about 0.15-0.21 ms per mu level at alpha = 10.  Its plan instead holds the
+trapezoid rule on the lattice,
 
     c~(k h) = h sum_m phi(m h) phi((m - k) h),
 
 one autocorrelation of the E_0 table (the irfft of its spectrum times its
 conjugate) at the least power of two above 2R + k_max, where no lag up to
-k_max wraps, and e against the Simpson values c_j.  The skew-normal
-characteristic function is chi(t) = e^{-t^2/2} (1 + i erfi(delta t / sqrt
+k_max wraps, and e against the values c_j of ``cross_inner``.  The
+skew-normal characteristic function is chi(t) = e^{-t^2/2} (1 + i erfi(delta t / sqrt
 2)), delta = alpha / sqrt(1 + alpha^2) (Azzalini 1985); Dawson's function is
 at most 0.54105, so |erfi(x)| <= 0.6106 e^{x^2} and |chi(t)| <= 1.6106
 exp(-t^2 / (2 s^2)), s^2 = 1 + alpha^2.  The transform of f = phi phi_mu is
@@ -124,6 +124,11 @@ c(mu), lip >= sup |phi'| as above and Q the Gaussian upper tail, e holds
   + c' sup phi) + 2 lip 8 u (w + mu_max) + u sup phi);
 * the rounding of its 16 385-term dot product and its scaling, (16384 + 8) u
   times sup phi plus the two terms above.
+
+Past |alpha| = ``SKEW_CLOSED_ABOVE`` the c_j are Owen's-T closed form, and
+e takes, for the last three items, an allowance of 1e-13 for it: scipy
+states no error bound for ``owens_t``, and the closed form lies within 7.6e-16
+relative of 40-digit mpmath quadrature at |alpha| from 129 to 1e6.
 
 At alpha = 10, M = 10 and n >= 500, e is about 2e-7, nearly all Simpson's
 h^4 term, while the measured error is below 4e-16.  The lattice resolves
@@ -162,7 +167,8 @@ import math
 import numpy as np
 
 from .kernels import (
-    SIMPSON_HALF_WIDTH, SIMPSON_PANELS, Kernel, cross_inner_many, memo, normal_cdf, pdf_many, self_inner,
+    SIMPSON_HALF_WIDTH, SIMPSON_PANELS, SKEW_CLOSED_ABOVE, Kernel, cross_inner_many, is_dimension, memo,
+    normal_cdf, pdf_many, self_inner,
 )
 from .mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf_many
 
@@ -212,6 +218,7 @@ def _psi(t: float) -> float:
 # tail bound 8 sup phi (psi(11) + Q(11)), Q the Gaussian upper tail.
 _SKEW_SUP = math.sqrt(2.0 / math.pi)
 _SKEW_TAIL = 8.0 * _SKEW_SUP * (_psi(11.0) + 0.5 * math.erfc(11.0 / math.sqrt(2.0)))
+_SKEW_CLOSED_ERR = 1e-13  # the closed form's allowance, past SKEW_CLOSED_ABOVE
 
 
 @dataclass(frozen=True)
@@ -261,7 +268,7 @@ def grid_levels(n: int, M: float, d: int = 1) -> tuple[int, int, int]:
         raise ValueError(f"need n >= 4, got {n}")
     if not 0.0 < M < math.inf:
         raise ValueError(f"M must be positive and finite, got {M}")
-    if d < 1:
+    if not is_dimension(d):
         raise ValueError("d must be a positive integer")
     p = math.isqrt(n)
     # tiny nudge guards against M*sqrt(n) landing one ulp under an integer
@@ -561,8 +568,8 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
     spread = math.hypot(1.0, alpha)  # |chi(t)| <= 1.6106 exp(-t^2 / (2 spread^2))
 
     def inner_bound(root, k_max, reach, size, table_err, norm1, norm2):
-        # e >= max_j |c~_j - c_j| against the Simpson values c_j of
-        # ``cross_inner``; the module docstring derives each term
+        # e >= max_j |c~_j - c_j| against the values c_j of ``cross_inner``,
+        # Simpson's or the closed form's; the module docstring derives each term
         h = 1.0 / root
         mu_max = k_max * h
         count = 2 * reach + 1  # table entries
@@ -575,6 +582,8 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
         e += _SKEW_TAIL + h * tau * (2.0 * norm1 + 3.0 * count * tau)
         e += h * (14.0 * math.log2(size) + 5.0) * _U * 2.0 * norm1 * norm2
         e += _U * _SKEW_SUP + 4.0 * _U * lip * mu_max
+        if abs(alpha) > SKEW_CLOSED_ABOVE:
+            return e + _SKEW_CLOSED_ERR
         # Simpson on a window of width <= `width`: its h^4 term and the window
         # tail; the rounding of its nodes, pdf values and products; then of
         # its dot product and scaling

@@ -8,11 +8,14 @@ driven by two quantities computed here:
 * ``self_inner``  -- the squared L2 norm of the density,
 * ``cross_inner`` -- the translation inner product  <phi, phi(. - mu)>.
 
-Gaussian, Laplace and Cauchy admit exact closed forms.  The skew-Gaussian
-does not, so its inner products are evaluated by one fixed composite Simpson
-rule (``SIMPSON_PANELS`` panels on a window reaching ``SIMPSON_HALF_WIDTH``
-beyond 0 and mu, which leaves a tail mass below 1e-12); a seeded Monte-Carlo
-estimate (``mc_inner``) is kept as an independent cross-check.
+Gaussian, Laplace and Cauchy admit exact closed forms.  The skew-Gaussian's
+involves Owen's T function; up to |alpha| = ``SKEW_CLOSED_ABOVE`` its inner
+products are evaluated by one fixed composite Simpson rule (``SIMPSON_PANELS``
+panels on a window reaching ``SIMPSON_HALF_WIDTH`` beyond 0 and mu, which
+leaves a tail mass below 1e-12), and beyond it by the closed form
+(``skew_cross_closed``), where the rule's step no longer resolves the edge of
+Psi(alpha x).  A seeded Monte-Carlo estimate (``mc_inner``) is kept as an
+independent cross-check.
 
 Only the Gaussian family is defined for dimension d > 1 (it is the only one
 with a d-dimensional closed-form inner product); the other families are
@@ -28,7 +31,7 @@ import math
 import threading
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, owens_t
 
 __all__ = [
     "FAMILIES",
@@ -38,6 +41,7 @@ __all__ = [
     "self_inner",
     "cross_inner",
     "cross_inner_many",
+    "skew_cross_closed",
     "mc_inner",
     "sample",
     "sample_with_rng",
@@ -52,6 +56,15 @@ _SQRT_2 = math.sqrt(2.0)
 # 0 and mu, so the neglected tail mass of the integrand stays below 1e-12.
 SIMPSON_HALF_WIDTH = 12.0
 SIMPSON_PANELS = 16384
+# Past this |alpha| the rule's step, 24 / 16384, nears the width of the edge of
+# Psi(alpha x), about 1 / |alpha|: the rule keeps within 2.2e-16 of the closed
+# form up to 200, is 6.6e-13 off at 256 and 8.3e-5 relative at 1000.
+SKEW_CLOSED_ABOVE = 128.0
+
+
+def is_dimension(d) -> bool:
+    """True for a positive Python or NumPy integer; a bool or a float is not one."""
+    return isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
 
 
 @dataclass(frozen=True)
@@ -70,7 +83,7 @@ class Kernel:
                 raise ValueError("skew_gaussian requires a finite nonzero alpha")
         elif self.alpha is not None:
             raise ValueError(f"alpha is only meaningful for skew_gaussian, got {self.family}")
-        if self.dim < 1:
+        if not is_dimension(self.dim):
             raise ValueError("dim must be a positive integer")
         if self.dim > 1 and self.family != "gaussian":
             raise ValueError("dim > 1 is only supported for the gaussian family")
@@ -246,6 +259,20 @@ def _skew_cross_quadrature(kernel: Kernel, mu: float) -> float:
         return float((np.dot(weights[:k], vals[:k]) + np.dot(weights[k:], vals[k:])) * (h / 3.0))
 
 
+def skew_cross_closed(alpha: float, mu):
+    """<phi, phi_mu> of the skew-Gaussian in closed form, elementwise in mu:
+    (2 / sqrt pi) e^(-mu^2 / 4) Phi_2(h, -h; rho) with h = alpha mu / (2 sigma),
+    sigma^2 = 1 + alpha^2 / 2, rho = (alpha^2 / 2) / sigma^2.  By Owen (1956),
+    Phi_2(h, -h; rho) = 2 T(h, sqrt((1 + rho) / (1 - rho))), and
+    (1 + rho) / (1 - rho) = 1 + alpha^2.  Both roots are taken by ``hypot``,
+    which stays finite where alpha^2 overflows, and a square of mu past the
+    float range gives the limit 0."""
+    sigma = math.hypot(1.0, alpha / _SQRT_2)
+    with np.errstate(over="ignore"):
+        t = owens_t(alpha / (2.0 * sigma) * np.asarray(mu), math.hypot(1.0, alpha))
+        return 4.0 / math.sqrt(math.pi) * np.exp(-np.square(mu) / 4.0) * t
+
+
 @functools.cache
 def _simpson_arrays() -> tuple:
     """Node indices 0..SIMPSON_PANELS and Simpson weights, then three scratch arrays."""
@@ -287,7 +314,8 @@ def cross_inner(kernel: Kernel, mu) -> float:
     """Translation inner product ``<phi, phi(. - mu)>``.
 
     The shift is taken by ``as_point``.  Exact closed form for gaussian /
-    laplace / cauchy; the fixed Simpson rule for skew_gaussian.
+    laplace / cauchy; for skew_gaussian the fixed Simpson rule, or the closed
+    form past |alpha| = ``SKEW_CLOSED_ABOVE``.
     """
     m = as_point(kernel, mu)
     if kernel.dim > 1:
@@ -296,6 +324,8 @@ def cross_inner(kernel: Kernel, mu) -> float:
         return 0.0
     if kernel.family in _CROSS:
         return _CROSS[kernel.family](m, math.exp)
+    if abs(kernel.alpha) > SKEW_CLOSED_ABOVE:
+        return float(skew_cross_closed(kernel.alpha, m))
     return memo(_SKEW_CACHE, (kernel.alpha, m), lambda: _skew_cross_quadrature(kernel, m), _SKEW_LIMIT)
 
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import owens_t
 
 from contamix.kernels import Kernel, pdf_many
 
@@ -72,12 +71,18 @@ def cross_oracle(kernel: Kernel, mu: float, panels: int, half_width: float = 12.
     )
 
 
-def skew_cross_closed(alpha: float, mu):
-    """<phi, phi_mu> of the skew-Gaussian in closed form, independent of any
-    quadrature: (2 / sqrt pi) e^(-mu^2 / 4) Phi_2(h, -h; rho) with
-    h = alpha mu / (2 sigma), sigma^2 = 1 + alpha^2 / 2, rho = (alpha^2 / 2) / sigma^2.
-    By Owen (1956), Phi_2(h, -h; rho) = 2 T(h, sqrt((1 + rho) / (1 - rho))), and
-    (1 + rho) / (1 - rho) = 1 + alpha^2."""
-    sigma = math.sqrt(1.0 + alpha * alpha / 2.0)
-    t = owens_t(alpha * np.asarray(mu) / (2.0 * sigma), math.sqrt(1.0 + alpha * alpha))
-    return 4.0 / math.sqrt(math.pi) * np.exp(-np.square(mu) / 4.0) * t
+def skew_cross_refined(alpha: float, mu: float) -> float:
+    """<phi, phi_mu> of the skew-Gaussian by ``simpson_oracle`` on pieces of
+    [min(0, mu) - 12, max(0, mu) + 12]: steps of w / 8192 within w = 40 / |alpha|
+    of the edges of Psi(alpha x) and Psi(alpha (x - mu)), at 0 and mu, which are
+    about 1 / |alpha| wide, and of 1 / 4096 elsewhere."""
+    kernel = Kernel("skew_gaussian", alpha=alpha)
+    w = 40.0 / abs(alpha)
+    lo, hi = min(0.0, mu) - 12.0, max(0.0, mu) + 12.0
+    cuts = sorted({lo, hi, *(min(max(e + s, lo), hi) for e in (0.0, mu) for s in (-w, w))})
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        near = min(abs(0.5 * (a + b) - e) for e in (0.0, mu)) < w
+        panels = 2 * math.ceil((b - a) / (w / 8192 if near else 1.0 / 4096) / 2)
+        total += simpson_oracle(lambda xs: pdf_many(kernel, xs) * pdf_many(kernel, xs - mu), a, b, panels)
+    return total

@@ -1,16 +1,35 @@
+"""Tests of the ``contamix`` command line.
+
+Every test drives the CLI the one way a library caller would: ``run_cli``
+calls ``cli.main`` in this process, with stdout and stderr captured and every
+warning raised as an error, so a warning or an uncaught exception fails the
+test.  Only a fresh interpreter can see a few things, and only these tests
+start a subprocess:
+
+* ``TestFreshInterpreter``: ``python -m contamix.cli`` reaching the shell
+  through ``sys.exit(main())`` with exit codes 0, 1, 2 and 3;
+* ``TestScripts``: the study scripts, which run as programs of their own.
+"""
+
+import contextlib
+import io
 import math
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from contamix import cli, estimator, simharness
+from contamix.certify import ScanReport
 from contamix.estimator import estimate
 from contamix.kernels import Kernel, cross_inner
 from contamix.metrics import w1
 from contamix.mixture import MixtureParams, sample_mixture
+from contamix.simharness import ExperimentResult
 
 REPO = Path(__file__).resolve().parent.parent
 DESK_CONFIG = REPO / "configs" / "fig1_desk.config"
@@ -23,13 +42,16 @@ TINY_RATE_CONFIG = dict({k: v for k, v in TINY_CONFIG.items() if k != "nu_values
 
 
 def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "contamix.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    """``(exit code, stdout, stderr)`` of ``contamix *args``, run in process;
+    any warning raises.  argparse's own exits (``--help``) give their code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def one_error_line(err):
@@ -138,15 +160,10 @@ class TestEstimate:
         # is the limit 0, with no warning to fail the run
         p = tmp_path / "huge.csv"
         p.write_text("0.1\n-0.3\n2e200\n1.2\n0.5\n")
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
-             "-W", "error::ResourceWarning", "-m", "contamix.cli",
-             "estimate", "--kernel", family, "--data", str(p), "--bound-m", "2"],
-            capture_output=True, text=True, timeout=600,
-        )
-        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        code, out, err = run_cli("estimate", "--kernel", family, "--data", str(p), "--bound-m", "2")
+        assert code == 0 and err == "", err
         res = estimate(Kernel(family), [0.1, -0.3, 2e200, 1.2, 0.5], 2.0)
-        assert float(parse_kv(proc.stdout)["contrast_value"]) == res.contrast_value
+        assert float(parse_kv(out)["contrast_value"]) == res.contrast_value
 
     def test_skew_without_alpha_usage_error(self, gaussian_fixture):
         path, _ = gaussian_fixture
@@ -210,30 +227,22 @@ class TestWasserstein:
         assert code == 0
         assert float(parse_kv(out)["w2_squared"]) == 0.0
 
-    # in process, under CI's -W error::RuntimeWarning: the squares of the
-    # shifts leave the float range at both ends
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # the squares of the shifts leave the float range at both ends, with no warning
     @pytest.mark.parametrize(
         "lam2, mu1, mu2",
         [("0.3", "1e200", "-1e200"), ("0.2", "1e308", "-1e308"), ("0.2", "1e-200", "0")],
         ids=["overflow", "difference_overflows", "underflow"],
     )
-    def test_w1_at_the_ends_of_the_float_range(self, capsys, lam2, mu1, mu2):
-        from contamix import cli as cli_mod
-
+    def test_w1_at_the_ends_of_the_float_range(self, lam2, mu1, mu2):
         argv = ["wasserstein", "--lambda1", "0.2", "--mu1", mu1, "--lambda2", lam2, f"--mu2={mu2}", "--p", "1"]
-        assert cli_mod.main(argv) == 0
         value = w1(MixtureParams(0.2, float(mu1)), MixtureParams(float(lam2), float(mu2)))
         assert 0.0 < value < math.inf
-        assert capsys.readouterr() == (f"w1={value!r}\n", "")
+        assert run_cli(*argv) == (0, f"w1={value!r}\n", "")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_w2_squared_past_the_float_range_is_a_data_error(self, capsys):
-        from contamix import cli as cli_mod
-
+    def test_w2_squared_past_the_float_range_is_a_data_error(self):
         argv = ["wasserstein", "--lambda1", "0.2", "--mu1", "1e200", "--lambda2", "0.3", "--mu2=-1e200", "--p", "2"]
-        assert cli_mod.main(argv) == 2
-        out, err = capsys.readouterr()
+        code, out, err = run_cli(*argv)
+        assert code == 2
         assert out == "" and one_error_line(err) and "w2_squared" in err
 
 
@@ -282,6 +291,13 @@ class TestInnerProduct:
             Kernel("skew_gaussian", alpha=10.0), 1.0
         )
 
+    def test_skew_past_the_closed_form_threshold(self):
+        # 40-digit mpmath quadrature split at the edges of Psi(alpha x); the
+        # Simpson rule printed 0.21067570696937632 here
+        code, out, err = run_cli("inner-product", "--kernel", "skew_gaussian", "--alpha", "1000", "--mu", "1")
+        assert (code, err) == (0, "")
+        assert float(parse_kv(out)["inner_product"]) == pytest.approx(0.21068837005211985688, rel=1e-14)
+
 
 class TestCertify:
     def test_kappa_gaussian_passes(self):
@@ -328,6 +344,28 @@ class TestCertify:
         assert code == 1
         assert out == ""
         assert "alpha" in err and "Traceback" not in err
+
+    # skew_kappa_alpha_*.csv were written by `contamix certify --check kappa`
+    # before the Simpson rule skipped the nodes outside its integrand's support:
+    # alpha < 0 has its zero blocks at the other end, and alpha = 0.5 has none
+    @pytest.mark.parametrize("alpha", ["-10", "0.5"])
+    def test_skew_kappa_surface_reproduces_golden_csv(self, alpha, tmp_path):
+        out = tmp_path / "kappa.csv"
+        code, _, _ = run_cli("certify", "--kernel", "skew_gaussian", f"--alpha={alpha}", "--check", "kappa",
+                             "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (REPO / "tests" / "golden" / f"skew_kappa_alpha_{alpha}.csv").read_bytes()
+
+    def test_failed_scan_exits_3(self, monkeypatch):
+        failed = ScanReport(
+            check_name="kappa", kernel=Kernel("gaussian"), grid_spec={},
+            extremal_value=-1.0, extremal_point=(0.0,), passed=False, tolerance=0.0,
+            surface_columns=("mu", "ratio"), surface=np.zeros((1, 2)),
+        )
+        monkeypatch.setattr(cli, "_run_scan", lambda kernel, check: failed)
+        code, out, _ = run_cli("certify", "--kernel", "gaussian", "--check", "kappa")
+        assert code == 3
+        assert parse_kv(out)["passed"] == "false"
 
 
 class TestSimulate:
@@ -525,6 +563,73 @@ class TestSimulate:
         assert "--workers" in err and "Traceback" not in err and out == ""
         assert not out_csv.exists()
 
+    def test_workers_flag_runs_replicates_on_the_calling_thread(self, tmp_path, monkeypatch):
+        p = tmp_path / "tiny.config"
+        p.write_text(
+            "kernel = gaussian\nn = 100\nlambda_star = 0.25\nnu_values = 0.25, 0.5\n"
+            "M = 3\nreplicates = 3\nmaster_seed = 1\nmode = phase_transition\n"
+        )
+        threads = []
+        real = simharness.run_replicate
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(simharness, "run_replicate", recording)
+        code, _, _ = run_cli("simulate", "--config", str(p), "--out", str(tmp_path / "o.csv"), "--workers", "2")
+        assert code == 0
+        assert threads == [threading.get_ident()] * 6
+
+    # an output path that is a directory or lies in a missing one is refused
+    # before the study runs; the other output is neither created nor truncated
+    @pytest.mark.parametrize(
+        "out, raw, kind",
+        [("kept.csv", "d", "raw"), ("d", "kept.csv", "summary"), ("kept.csv", "no/r.csv", "raw"),
+         ("new.csv", "no/r.csv", "raw")],
+        ids=["raw_is_dir", "out_is_dir", "raw_dir_missing", "raw_dir_missing_new_out"],
+    )
+    def test_unwritable_output_refused_before_the_study(self, tmp_path, monkeypatch, out, raw, kind):
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the study ran"))
+        (tmp_path / "d").mkdir()
+        (tmp_path / "kept.csv").write_text("kept\n")
+        code, _, err = run_cli("simulate", "--config", str(DESK_CONFIG), "--out", str(tmp_path / out),
+                               "--raw", str(tmp_path / raw))
+        assert code == 2
+        bad = tmp_path / (raw if kind == "raw" else out)
+        assert f"cannot write {kind} CSV {bad}" in err
+        assert (tmp_path / "kept.csv").read_text() == "kept\n"
+        assert not (tmp_path / "new.csv").exists()
+
+    def test_paper_preset_sets_replicates(self, tmp_path, monkeypatch):
+        p = tmp_path / "tiny.config"
+        p.write_text(
+            "kernel = gaussian\nn = 100\nlambda_star = 0.25\nnu_values = 0.5\n"
+            "M = 3\nreplicates = 2\nmaster_seed = 1\nmode = phase_transition\n"
+        )
+        seen = {}
+
+        def fake_run(config):
+            seen["replicates"] = config.replicates
+            return ExperimentResult(key_name="nu", rows=(), raw=())
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        code, _, _ = run_cli("simulate", "--config", str(p), "--out", str(tmp_path / "o.csv"), "--paper")
+        assert code == 0
+        assert seen["replicates"] == 1000
+
+    def test_paper_preset_keeps_the_task_bound(self, tmp_path, monkeypatch):
+        # 1001 cells load at 2 replicates; 1000 replicates on each would pass MAX_TASKS
+        nus = ", ".join(str(i / 1001) for i in range(1, 1002))
+        p = tmp_path / "wide.config"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in dict(TINY_CONFIG, nu_values=nus).items()))
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the study ran"))
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli("simulate", "--config", str(p), "--out", str(out), "--paper")
+        assert code == 2
+        assert "replicates must lie in [1, 999]" in err
+        assert not out.exists()
+
 
 class TestUsage:
     def test_no_subcommand(self):
@@ -534,6 +639,28 @@ class TestUsage:
     def test_unknown_flag(self):
         code, _, _ = run_cli("wasserstein", "--nope", "1")
         assert code == 1
+
+    def test_usage_error_after_a_successful_call_exits_1(self):
+        ok = ["wasserstein", "--lambda1", "0.2", "--mu1", "1", "--lambda2", "0.3", "--mu2", "2"]
+        code, first, _ = run_cli(*ok)
+        assert code == 0
+        for bad in (["wasserstein", "--nope", "1"], ["certify", "--kernel", "gaussian"], []):
+            code, out, err = run_cli(*bad)
+            assert code == 1
+            assert out == "" and err.splitlines()[-1].startswith("contamix: error: ")
+        assert run_cli(*ok) == (0, first, "")
+        assert cli._make_parser() is cli._make_parser()  # built once per process
+
+    def test_help_exits_0(self):
+        code, out, err = run_cli("--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: contamix")
+
+    def test_console_script_is_main(self):
+        # the installed `contamix` command calls this function; tests run the same one
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        project = tomllib.loads((REPO / "pyproject.toml").read_text())
+        assert project["project"]["scripts"] == {"contamix": "contamix.cli:main"}
 
 
 class TestDim2Estimate:
@@ -550,17 +677,16 @@ class TestDim2Estimate:
         res = estimate(k2, data, 1.0)
         assert [float(v) for v in kv["mu_hat"].split(",")] == list(res.mu_hat)
 
-    def test_level_counts_without_a_second_grid(self, tmp_path, monkeypatch, capsys):
-        from contamix import cli, estimator
-
+    def test_level_counts_without_a_second_grid(self, tmp_path, monkeypatch):
         data = sample_mixture(Kernel("gaussian", dim=2), MixtureParams(0.5, [1.0, -1.0]), 36, seed=9)
         p = tmp_path / "d2.csv"
         p.write_text("".join(f"{float(a)!r},{float(b)!r}\n" for a, b in data))
         grids = []
         build = estimator.build_grid
         monkeypatch.setattr(estimator, "build_grid", lambda *a: grids.append(a) or build(*a))
-        assert cli.main(["estimate", "--kernel", "gaussian", "--dim", "2", "--data", str(p), "--bound-m", "1"]) == 0
-        kv = parse_kv(capsys.readouterr().out)
+        code, out, _ = run_cli("estimate", "--kernel", "gaussian", "--dim", "2", "--data", str(p), "--bound-m", "1")
+        assert code == 0
+        kv = parse_kv(out)
         assert grids == [(36, 1.0, 2)]  # estimate's own grid
         grid = build(36, 1.0, 2)
         assert int(kv["lambda_levels"]) == grid.lambda_levels.shape[0] == 6
@@ -576,119 +702,41 @@ class TestDim2Estimate:
         assert ":2" in err
 
 
-class TestInProcess:
-    # skew_kappa_alpha_*.csv were written by `contamix certify --check kappa`
-    # before the Simpson rule skipped the nodes outside its integrand's support:
-    # alpha < 0 has its zero blocks at the other end, and alpha = 0.5 has none
-    @pytest.mark.parametrize("alpha", ["-10", "0.5"])
-    def test_skew_kappa_surface_reproduces_golden_csv(self, alpha, tmp_path, capsys):
-        from contamix import cli as cli_mod
+class TestFreshInterpreter:
+    """What only a new interpreter shows: ``python -m contamix.cli`` hands
+    ``main``'s code to the shell through ``sys.exit``."""
 
-        out = tmp_path / "kappa.csv"
-        argv = ["certify", "--kernel", "skew_gaussian", f"--alpha={alpha}", "--check", "kappa", "--out", str(out)]
-        assert cli_mod.main(argv) == 0
-        assert out.read_bytes() == (REPO / "tests" / "golden" / f"skew_kappa_alpha_{alpha}.csv").read_bytes()
+    @staticmethod
+    def run(*argv):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=600)
+        return proc.returncode, proc.stdout, proc.stderr
 
-    def test_usage_error_after_a_successful_call_exits_1(self, capsys):
-        from contamix import cli as cli_mod
-
-        ok = ["wasserstein", "--lambda1", "0.2", "--mu1", "1", "--lambda2", "0.3", "--mu2", "2"]
-        assert cli_mod.main(ok) == 0
-        first = capsys.readouterr().out
-        for bad in (["wasserstein", "--nope", "1"], ["certify", "--kernel", "gaussian"], []):
-            assert cli_mod.main(bad) == 1
-            out, err = capsys.readouterr()
-            assert out == "" and err.splitlines()[-1].startswith("contamix: error: ")
-        assert cli_mod.main(ok) == 0 and capsys.readouterr().out == first
-        assert cli_mod._make_parser() is cli_mod._make_parser()  # built once per process
-
-    def test_failed_scan_exits_3(self, monkeypatch):
-        from contamix import cli as cli_mod
-        from contamix.certify import ScanReport
-
-        failed = ScanReport(
-            check_name="kappa", kernel=Kernel("gaussian"), grid_spec={},
-            extremal_value=-1.0, extremal_point=(0.0,), passed=False, tolerance=0.0,
-            surface_columns=("mu", "ratio"), surface=np.zeros((1, 2)),
-        )
-        monkeypatch.setattr(cli_mod, "_run_scan", lambda kernel, check: failed)
-        assert cli_mod.main(["certify", "--kernel", "gaussian", "--check", "kappa"]) == 3
-
-    def test_workers_flag_runs_replicates_on_the_calling_thread(self, tmp_path, monkeypatch):
-        from contamix import cli as cli_mod
-        from contamix import simharness
-
-        p = tmp_path / "tiny.config"
-        p.write_text(
-            "kernel = gaussian\nn = 100\nlambda_star = 0.25\nnu_values = 0.25, 0.5\n"
-            "M = 3\nreplicates = 3\nmaster_seed = 1\nmode = phase_transition\n"
-        )
-        threads = []
-        real = simharness.run_replicate
-
-        def recording(*args):
-            threads.append(threading.get_ident())
-            return real(*args)
-
-        monkeypatch.setattr(simharness, "run_replicate", recording)
-        argv = ["simulate", "--config", str(p), "--out", str(tmp_path / "o.csv"), "--workers", "2"]
-        assert cli_mod.main(argv) == 0
-        assert threads == [threading.get_ident()] * 6
-
-    # an output path that is a directory or lies in a missing one is refused
-    # before the study runs; the other output is neither created nor truncated
     @pytest.mark.parametrize(
-        "out, raw, kind",
-        [("kept.csv", "d", "raw"), ("d", "kept.csv", "summary"), ("kept.csv", "no/r.csv", "raw"),
-         ("new.csv", "no/r.csv", "raw")],
-        ids=["raw_is_dir", "out_is_dir", "raw_dir_missing", "raw_dir_missing_new_out"],
+        "args, want",
+        [(("inner-product", "--kernel", "laplace", "--mu", "0"), 0),
+         (("wasserstein", "--nope", "1"), 1),
+         (("estimate", "--kernel", "gaussian", "--data", "/no/such.csv", "--bound-m", "2"), 2)],
+        ids=["ok", "usage", "data"],
     )
-    def test_unwritable_output_refused_before_the_study(self, tmp_path, monkeypatch, capsys, out, raw, kind):
-        from contamix import cli as cli_mod
+    def test_module_exit_code(self, args, want):
+        code, out, err = self.run("-m", "contamix.cli", *args)
+        assert (code, out, err) == run_cli(*args)
+        assert code == want
 
-        monkeypatch.setattr(cli_mod, "run_experiment", lambda config: pytest.fail("the study ran"))
-        (tmp_path / "d").mkdir()
-        (tmp_path / "kept.csv").write_text("kept\n")
-        argv = ["simulate", "--config", str(DESK_CONFIG), "--out", str(tmp_path / out), "--raw", str(tmp_path / raw)]
-        assert cli_mod.main(argv) == 2
-        bad = tmp_path / (raw if kind == "raw" else out)
-        assert f"cannot write {kind} CSV {bad}" in capsys.readouterr().err
-        assert (tmp_path / "kept.csv").read_text() == "kept\n"
-        assert not (tmp_path / "new.csv").exists()
-
-    def test_paper_preset_sets_replicates(self, tmp_path, monkeypatch):
-        from contamix import cli as cli_mod
-
-        p = tmp_path / "tiny.config"
-        p.write_text(
-            "kernel = gaussian\nn = 100\nlambda_star = 0.25\nnu_values = 0.5\n"
-            "M = 3\nreplicates = 2\nmaster_seed = 1\nmode = phase_transition\n"
+    def test_failed_certificate_exits_3(self):
+        # contamix.cli is not imported before runpy runs it as __main__, which
+        # looks up certify.scan_kappa by name when the scan runs
+        child = (
+            "import dataclasses, runpy, sys\n"
+            "from contamix import certify\n"
+            "real = certify.scan_kappa\n"
+            "certify.scan_kappa = lambda *a, **k: dataclasses.replace(real(*a, **k), passed=False)\n"
+            "sys.argv[1:] = ['certify', '--kernel', 'gaussian', '--check', 'kappa']\n"
+            "runpy.run_module('contamix.cli', run_name='__main__')\n"
         )
-        seen = {}
-
-        def fake_run(config):
-            seen["replicates"] = config.replicates
-            from contamix.simharness import ExperimentResult
-
-            return ExperimentResult(key_name="nu", rows=(), raw=())
-
-        monkeypatch.setattr(cli_mod, "run_experiment", fake_run)
-        out = tmp_path / "o.csv"
-        assert cli_mod.main(["simulate", "--config", str(p), "--out", str(out), "--paper"]) == 0
-        assert seen["replicates"] == 1000
-
-    def test_paper_preset_keeps_the_task_bound(self, tmp_path, monkeypatch, capsys):
-        from contamix import cli as cli_mod
-
-        # 1001 cells load at 2 replicates; 1000 replicates on each would pass MAX_TASKS
-        nus = ", ".join(str(i / 1001) for i in range(1, 1002))
-        p = tmp_path / "wide.config"
-        p.write_text("".join(f"{k} = {v}\n" for k, v in dict(TINY_CONFIG, nu_values=nus).items()))
-        monkeypatch.setattr(cli_mod, "run_experiment", lambda config: pytest.fail("the study ran"))
-        out = tmp_path / "o.csv"
-        assert cli_mod.main(["simulate", "--config", str(p), "--out", str(out), "--paper"]) == 2
-        assert "replicates must lie in [1, 999]" in capsys.readouterr().err
-        assert not out.exists()
+        code, out, err = self.run("-c", child)
+        assert (code, err) == (3, "")
+        assert parse_kv(out)["passed"] == "false"
 
 
 class TestScripts:

@@ -21,10 +21,10 @@ from contamix.estimator import (
     estimate,
     precompute,
 )
-from contamix.kernels import Kernel, cross_inner, cross_inner_many, pdf, self_inner
+from contamix.kernels import Kernel, cross_inner, cross_inner_many, pdf, self_inner, skew_cross_closed
 from contamix.mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf, sample_mixture
 
-from conftest import cross_oracle, skew_cross_closed
+from conftest import cross_oracle
 
 GAUSS = Kernel("gaussian")
 GAUSS2 = Kernel("gaussian", dim=2)
@@ -108,6 +108,13 @@ class TestBuildGrid:
         with pytest.raises(ValueError) as grid_err:
             build_grid(n, M, d)
         assert str(levels_err.value) == str(grid_err.value)
+
+    @pytest.mark.parametrize("d", [2.0, 1.5, True], ids=repr)
+    def test_levels_refuse_a_dimension_that_is_not_an_integer(self, d):
+        for levels in (estimator.grid_levels, build_grid):
+            with pytest.raises(ValueError, match="^d must be a positive integer$"):
+                levels(100, 1.0, d)
+        assert estimator.grid_levels(100, 1.0, np.int64(2)) == estimator.grid_levels(100, 1.0, 2)
 
     # sqrt(n) past the float range, or M sqrt(n) = inf: refused, not OverflowError
     @pytest.mark.parametrize("n, M", [(10 ** 400, 10.0), (4, 1e308)], ids=["huge_n", "huge_M"])
@@ -777,9 +784,20 @@ class TestSkewLatticeInner:
         assert np.max(np.abs(simpson - exact)) <= min(plan.inner_err, 1e-14)
         assert np.max(np.abs(plan.inner - exact)) <= plan.inner_err
 
+    def test_bound_holds_past_the_closed_form_threshold(self):
+        # alpha = 200 takes the closed form; the lattice resolves Psi(alpha t)
+        # from n of about alpha^2 on, where e stays small
+        alpha = 200.0
+        kernel = Kernel("skew_gaussian", alpha=alpha)
+        grid = build_grid(90000, 1.0, 1)
+        plan = estimator._grid_plan(kernel, grid)
+        exact = skew_cross_closed(alpha, grid.mu_levels)
+        assert np.max(np.abs(cross_inner_many(kernel, grid.mu_levels) - exact)) <= 1e-16
+        assert np.max(np.abs(plan.inner - exact)) <= plan.inner_err < 1e-6
+
     def test_huge_alpha_recomputes_every_column(self, monkeypatch):
         # the lattice cannot resolve Psi(alpha t) at n = 16: e is useless and
-        # every column gets its Simpson value, as the direct path does.  From
+        # every column gets its ``cross_inner`` value, as the direct path does.  From
         # alpha 1e20 on the skew tables overflow (as estimate's errstate
         # allows), and the plan's guard must turn the bound e into inf
         grid = build_grid(16, 2.0, 1)

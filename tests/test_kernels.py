@@ -25,10 +25,11 @@ from contamix.kernels import (
     pdf_many,
     sample,
     self_inner,
+    skew_cross_closed,
 )
 from contamix.mixture import MixtureParams, mixture_pdf
 
-from conftest import cross_oracle
+from conftest import cross_oracle, skew_cross_refined
 
 GAUSS = Kernel("gaussian")
 LAPLACE = Kernel("laplace")
@@ -69,6 +70,16 @@ class TestValidation:
         Kernel("gaussian", dim=3)
         with pytest.raises(ValueError):
             Kernel("laplace", dim=2)
+
+    @pytest.mark.parametrize("dim", [2.0, 1.5, True], ids=repr)
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(ValueError, match="^dim must be a positive integer$"):
+            Kernel("gaussian", dim=dim)
+
+    def test_numpy_integer_dim(self):
+        kernel = Kernel("gaussian", dim=np.int64(2))
+        assert kernel == Kernel("gaussian", dim=2)
+        assert self_inner(kernel) == self_inner(Kernel("gaussian", dim=2))
 
     def test_pdf_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -201,6 +212,32 @@ class TestCrossInner:
     @settings(max_examples=100, deadline=None)
     def test_bounded_by_self_inner(self, mu):
         assert cross_inner(GAUSS, mu) <= self_inner(GAUSS) + 1e-15
+
+
+class TestSkewClosedForm:
+    """Past |alpha| = SKEW_CLOSED_ABOVE ``cross_inner`` is Owen's-T closed form,
+    held here against references that do not use ``owens_t``."""
+
+    @pytest.mark.parametrize("alpha", [129.0, 1e3, -1e4, 1e6, -1e200])
+    def test_sheppard_at_zero_shift(self, alpha):
+        # Phi_2(0, 0; rho) = 1/4 + asin(rho) / (2 pi) = 1/2 - asin(sqrt((1 - rho) / 2)) / pi,
+        # the second form well conditioned as rho -> 1, with (1 - rho) / 2 = 1 / (2 + alpha^2)
+        want = 2.0 / math.sqrt(math.pi) * (0.5 - math.asin(1.0 / math.hypot(math.sqrt(2.0), alpha)) / math.pi)
+        assert cross_inner(Kernel("skew_gaussian", alpha=alpha), 0.0) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [1e3, 1e4, -1e6])
+    @pytest.mark.parametrize("mu", [1e-5, 0.3, 1.0, -2.5, 3.0])
+    def test_matches_simpson_refined_at_the_edges(self, alpha, mu):
+        # measured: within 1.8e-15 relative; the Simpson rule is 8.3e-5 relative off at 1e3
+        assert abs(cross_inner(Kernel("skew_gaussian", alpha=alpha), mu) - skew_cross_refined(alpha, mu)) <= 1e-15
+
+    def test_threshold(self):
+        # the rule up to SKEW_CLOSED_ABOVE, the closed form past it
+        for alpha in (kernels.SKEW_CLOSED_ABOVE, -kernels.SKEW_CLOSED_ABOVE):
+            kernel = Kernel("skew_gaussian", alpha=alpha)
+            assert cross_inner(kernel, 1.0) == kernels._skew_cross_quadrature(kernel, 1.0)
+        alpha = math.nextafter(kernels.SKEW_CLOSED_ABOVE, math.inf)
+        assert cross_inner(Kernel("skew_gaussian", alpha=alpha), 1.0) == skew_cross_closed(alpha, 1.0)
 
 
 class TestMemo:
