@@ -78,63 +78,39 @@ and its own terms:
   t), both from one Hermite recurrence; the tables are taken at -t, since
   the kernel is not symmetric.  D_P is the sum of Cramer's bounds on the
   Leibniz terms, and tail = 2 psi.  A loose eps only recomputes more
-  columns.  T is 12 here because the table must reach |t| >= 11, R h >= T,
-  for the tail term of the bound e below.
+  columns.
 
-Inner products on the lattice.  A 1-d grid's lattice plan (``_LatticePlan``,
-memoised per kernel, n and k_max) holds the family's spec, its tables and
-their spectra per FFT length, and the grid's inner products c~_j with a
-bound e >= max_j |c~_j - c_j| against the values c_j of ``cross_inner``.
-For the closed forms c~ is ``cross_inner_many`` on the mu levels and e = 0.
-The skew-Gaussian's c(mu) = <phi, phi_mu> has no elementary closed form; up
-to |alpha| = 128 ``cross_inner`` takes it by a 16 385-point Simpson rule,
-about 0.15-0.21 ms per mu level at alpha = 10.  Its plan instead holds the
-trapezoid rule on the lattice,
+Inner products.  A 1-d grid's plan (``_LatticePlan``, memoised per kernel, n
+and k_max) holds the family's spec, its tables and their spectra per FFT
+length, and the grid's inner products c~_j with a bound e >= max_j |c~_j -
+c_j| against the values c_j of ``cross_inner``.  For the closed forms c~ is
+``cross_inner_many`` on the mu levels and e = 0.  The skew-Gaussian's plan
+holds Owen's-T closed form (``skew_cross_closed``) on the mu levels, which
+``cross_inner`` takes only past |alpha| = ``SKEW_CLOSED_ABOVE``; up to there
+it takes a 16 385-point Simpson rule, about 0.15-0.21 ms per mu level at
+alpha = 10.  So e is an allowance of 1e-13 for the closed form (scipy states
+no error bound for ``owens_t``; the closed form lies within 7.6e-16 relative
+of 40-digit mpmath quadrature at |alpha| from 129 to 1e6), plus, up to
+``SKEW_CLOSED_ABOVE``, the rule's own error.  With sup phi <= 2 psi(0) =
+sqrt(2/pi), which also bounds every c(mu), and lip >= sup |phi'| as above,
+that is
 
-    c~(k h) = h sum_m phi(m h) phi((m - k) h),
-
-one autocorrelation of the E_0 table (the irfft of its spectrum times its
-conjugate) at the least power of two above 2R + k_max, where no lag up to
-k_max wraps, and e against the values c_j of ``cross_inner``.  The
-skew-normal characteristic function is chi(t) = e^{-t^2/2} (1 + i erfi(delta t / sqrt
-2)), delta = alpha / sqrt(1 + alpha^2) (Azzalini 1985); Dawson's function is
-at most 0.54105, so |erfi(x)| <= 0.6106 e^{x^2} and |chi(t)| <= 1.6106
-exp(-t^2 / (2 s^2)), s^2 = 1 + alpha^2.  The transform of f = phi phi_mu is
-a convolution of two such, so |f^(w)| <= 0.7318 s exp(-w^2 / (4 s^2)) for
-every mu.  With sup phi <= 2 psi(0) = sqrt(2/pi), which also bounds every
-c(mu), lip >= sup |phi'| as above and Q the Gaussian upper tail, e holds
-
-* aliasing: by Poisson summation the lattice rule errs by at most sum_{j !=
-  0} |f^(2 pi j / h)| <= 2 (0.7318 s) q / (1 - q^3), q = exp(-(pi sqrt(n) /
-  s)^2) (trapezoid rules converge exponentially; Trefethen & Weideman 2014);
-* the tail: every term the table leaves out, or Simpson's window cuts, has
-  a factor phi(t) <= 2 psi(t) at |t| >= 11 and another at most sup phi, 8
-  sup phi (psi(11) + Q(11)) in all;
-* table rounding: each of the N entries is within tau = (its rounding) +
-  lip u N h of phi(m h), giving h tau (2 ||E_0||_1 + 3 N tau);
-* FFT round-off, the bound above with P = 1: (14 log2 L + 5) u 2 ||E_0||_1
-  ||E_0||_2 h; then u sup phi for the product by h and 4 u lip mu_max for
-  the rounding of the mu levels;
-* Simpson's own error on its window of width w = 24 + |mu| with step h_s =
-  w / 16384: w h_s^4 sup |f^(4)| / 180, where sup |f^(4)| <= sum_j C(4, j)
-  D_j D_{4-j} by Leibniz and D_j >= sup |phi^(j)| comes from the same
-  Cramer bounds as D_P above, plus the window tail;
+* Simpson's error on its window of width w = 24 + |mu| with step h_s = w /
+  16384: w h_s^4 sup |f^(4)| / 180 for f = phi phi_mu, where sup |f^(4)| <=
+  sum_j C(4, j) D_j D_{4-j} by Leibniz and D_j >= sup |phi^(j)| comes from
+  the same Cramer bounds as D_P above;
+* the window tail: every term it cuts has a factor phi(t) <= 2 psi(t) at
+  |t| >= 11 and another at most sup phi, 8 sup phi (psi(11) + Q(11)) in
+  all, Q the Gaussian upper tail;
 * the rounding of Simpson's nodes (8 u (w + mu_max) each, against lip on
   both factors), of its pdf values and of their products, w sup phi (2 u (c
   + c' sup phi) + 2 lip 8 u (w + mu_max) + u sup phi);
 * the rounding of its 16 385-term dot product and its scaling, (16384 + 8) u
   times sup phi plus the two terms above.
 
-Past |alpha| = ``SKEW_CLOSED_ABOVE`` the c_j are Owen's-T closed form, and
-e takes, for the last three items, an allowance of 1e-13 for it: scipy
-states no error bound for ``owens_t``, and the closed form lies within 7.6e-16
-relative of 40-digit mpmath quadrature at |alpha| from 129 to 1e6.
-
-At alpha = 10, M = 10 and n >= 500, e is about 2e-7, nearly all Simpson's
-h^4 term, while the measured error is below 4e-16.  The lattice resolves
-Psi(alpha t) only for n of at least a few alpha^2: at alpha = 10 and n = 16,
-e is about 3, and at alpha = 30 and n = 500, 0.18.  A non-finite e is inf.
-Either way a loose e only recomputes more columns.
+e does not depend on n.  At alpha = 10 and M = 10 it is about 2e-7, nearly
+all Simpson's h_s^4 term, which grows like alpha^4 (1.3e-5 at alpha = 30),
+while the closed form and the rule lie within 6e-16 of each other.
 
 At n = 5000 and P = 4 the Gaussian's Taylor remainder sets eps: about
 1.1e-6, or 1e-9 of max S, against a measured error near 1e-8; for the other
@@ -168,7 +144,7 @@ import numpy as np
 
 from .kernels import (
     SIMPSON_HALF_WIDTH, SIMPSON_PANELS, SKEW_CLOSED_ABOVE, Kernel, cross_inner_many, is_dimension, memo,
-    normal_cdf, pdf_many, self_inner,
+    normal_cdf, pdf_many, self_inner, skew_cross_closed,
 )
 from .mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf_many
 
@@ -213,12 +189,12 @@ def _psi(t: float) -> float:
 
 
 # Skew inner products: sup phi = 2 psi(0) bounds every skew-Gaussian value and
-# every <phi, phi_mu>.  Every term the lattice and Simpson rules leave out has
-# a factor phi(t) <= 2 psi(t) at |t| >= 11 and another at most sup phi: the
-# tail bound 8 sup phi (psi(11) + Q(11)), Q the Gaussian upper tail.
+# every <phi, phi_mu>.  Every term Simpson's window cuts has a factor phi(t)
+# <= 2 psi(t) at |t| >= 11 and another at most sup phi: the tail bound 8 sup
+# phi (psi(11) + Q(11)), Q the Gaussian upper tail.
 _SKEW_SUP = math.sqrt(2.0 / math.pi)
 _SKEW_TAIL = 8.0 * _SKEW_SUP * (_psi(11.0) + 0.5 * math.erfc(11.0 / math.sqrt(2.0)))
-_SKEW_CLOSED_ERR = 1e-13  # the closed form's allowance, past SKEW_CLOSED_ABOVE
+_SKEW_CLOSED_ERR = 1e-13  # the closed form's allowance: scipy states no bound for owens_t
 
 
 @dataclass(frozen=True)
@@ -450,8 +426,8 @@ class _LatticeSpec:
     sup_deriv: float         # sup |phi^(P)|, which bounds the Taylor remainder; 0: exact
     # d -> a bound on |phi(t)| for |t| >= d, so the tables reach R = ceil(T sqrt(n)) steps
     tail: Callable | None = None
-    # (root, k_max, R, L, E_0's rounding, ||E_0||_1, ||E_0||_2) -> the bound
-    # e of the lattice inner products; None: closed-form inner products
+    # mu_max -> the bound e of the skew-Gaussian's closed-form inner products
+    # against the values of ``cross_inner``; None: those values, e = 0
     inner_bound: Callable | None = None
 
 
@@ -565,25 +541,12 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
         sup_f4 = sum(math.comb(4, j) * sup_deriv[j] * sup_deriv[4 - j] for j in range(5))
     lip = 0.5 + abs(alpha) / math.pi
     eval_abs, eval_rel = 2.0, 16
-    spread = math.hypot(1.0, alpha)  # |chi(t)| <= 1.6106 exp(-t^2 / (2 spread^2))
 
-    def inner_bound(root, k_max, reach, size, table_err, norm1, norm2):
-        # e >= max_j |c~_j - c_j| against the values c_j of ``cross_inner``,
-        # Simpson's or the closed form's; the module docstring derives each term
-        h = 1.0 / root
-        mu_max = k_max * h
-        count = 2 * reach + 1  # table entries
-        # lattice: aliasing, the sum over j != 0 of |f^(2 pi j / h)| <= 0.7318
-        # spread q^(j^2); the tail; table entries, with the rounding of m h;
-        # FFT round-off; the product by h; the rounding of the mu levels
-        q = math.exp(-((math.pi * root) / spread) ** 2)
-        e = 2.0 * 0.7318 * spread * q / (1.0 - q ** 3) if q < 1.0 else math.inf
-        tau = table_err + lip * _U * count * h
-        e += _SKEW_TAIL + h * tau * (2.0 * norm1 + 3.0 * count * tau)
-        e += h * (14.0 * math.log2(size) + 5.0) * _U * 2.0 * norm1 * norm2
-        e += _U * _SKEW_SUP + 4.0 * _U * lip * mu_max
+    def inner_bound(mu_max):
+        # e >= max_j |c~_j - c_j| for the closed form c~ against the values c_j
+        # of ``cross_inner``; the module docstring derives each term
         if abs(alpha) > SKEW_CLOSED_ABOVE:
-            return e + _SKEW_CLOSED_ERR
+            return _SKEW_CLOSED_ERR
         # Simpson on a window of width <= `width`: its h^4 term and the window
         # tail; the rounding of its nodes, pdf values and products; then of
         # its dot product and scaling
@@ -592,7 +555,7 @@ def _skew_spec(kernel: Kernel) -> _LatticeSpec:
         node = 8.0 * _U * (width + mu_max)
         pdf_err = _U * (eval_abs + eval_rel * _SKEW_SUP)
         simpson += width * _SKEW_SUP * (2.0 * pdf_err + 2.0 * lip * node + _U * _SKEW_SUP)
-        return e + simpson + (SIMPSON_PANELS + 8) * _U * (_SKEW_SUP + simpson)
+        return _SKEW_CLOSED_ERR + simpson + (SIMPSON_PANELS + 8) * _U * (_SKEW_SUP + simpson)
 
     return _taylor_spec(
         kernel,
@@ -663,7 +626,7 @@ class _LatticePlan:
     norm2: np.ndarray      # (P,): ||E_p||_2
     peak: np.ndarray       # (P,): max |E_p|
     table_err: np.ndarray  # (P,): bound on the rounding of one entry of E_p
-    inner: np.ndarray      # (q,): the closed forms, or the skew lattice c~_j
+    inner: np.ndarray      # (q,): cross_inner_many's values, or the skew closed form c~_j
     inner_err: float       # e >= max_j |inner_j - c_j|, 0 for the closed forms
 
 
@@ -685,21 +648,11 @@ def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
     t = np.arange(-reach, reach + 1) * h
     tables, table_err = spec.tables(t)
     tables.setflags(write=False)
-    norm1 = np.sum(np.abs(tables), axis=1)
-    norm2 = np.sqrt(np.sum(np.square(tables), axis=1))
     if spec.inner_bound is None:
         inner, err = cross_inner_many(kernel, grid.mu_levels), 0.0
     else:
-        # c~(k h) = h sum_m phi(m h) phi((m - k) h) is the autocorrelation of
-        # the E_0(t) = phi(-t) table, whose lag k sits at index k mod L; with
-        # L > 2R + k_max no lag |k| <= k_max wraps
-        size = 1 << (2 * reach + k_max).bit_length()
-        spectrum = np.fft.rfft(tables[0], size)
-        corr = np.fft.irfft(spectrum * spectrum.conj(), size)
-        inner = h * np.concatenate([corr[size - k_max :], corr[1 : k_max + 1]])
-        err = spec.inner_bound(root, k_max, reach, size, table_err[0], norm1[0], norm2[0])
-        if not (err < math.inf and np.all(np.isfinite(inner))):
-            err = math.inf
+        inner = skew_cross_closed(kernel.alpha, grid.mu_levels)
+        err = spec.inner_bound(k_max * h)
     inner.setflags(write=False)
     return _LatticePlan(
         spec=spec,
@@ -709,8 +662,8 @@ def _lattice_plan(kernel: Kernel, grid: Grid) -> _LatticePlan:
         reach=reach,
         tables=tables,
         spectra={},
-        norm1=norm1,
-        norm2=norm2,
+        norm1=np.sum(np.abs(tables), axis=1),
+        norm2=np.sqrt(np.sum(np.square(tables), axis=1)),
         peak=np.max(np.abs(tables), axis=1),
         table_err=table_err,
         inner=inner,

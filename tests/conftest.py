@@ -47,6 +47,10 @@ def random_pairs(seed: int, count: int = 300):
     return lams[0], mus[0], lams[1], mus[1]
 
 
+# skew-Gaussian shapes: both signs, near-symmetric to sharp-edged
+SKEW_ALPHAS = [-10.0, -0.5, 0.5, 3.0, 10.0, 30.0]
+
+
 @pytest.fixture(params=["gaussian", "laplace", "cauchy"])
 def closed_form_kernel(request) -> Kernel:
     return Kernel(request.param)

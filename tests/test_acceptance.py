@@ -33,7 +33,7 @@ from contamix.certify import (
     scan_l2w2,
 )
 from contamix.estimator import build_grid, contrast_naive, estimate
-from contamix.kernels import Kernel, cross_inner, pdf_many, self_inner
+from contamix.kernels import Kernel, cross_inner, pdf_many
 from contamix.metrics import MixingDistribution, transport_oracle, w1, w2_squared
 from contamix.mixture import (
     MixtureParams,

@@ -14,11 +14,11 @@ from contamix.certify import (
     scan_kappa,
     scan_l2w2,
 )
-from contamix.kernels import Kernel, cross_inner, self_inner
+from contamix.kernels import Kernel, cross_inner, self_inner, skew_cross_closed
 from contamix.metrics import w2_squared
 from contamix.mixture import MixtureParams, l2_distance_sq
 
-from conftest import cross_oracle
+from conftest import SKEW_ALPHAS, cross_oracle
 
 GAUSS = Kernel("gaussian")
 CAUCHY = Kernel("cauchy")
@@ -326,6 +326,32 @@ class TestQuadratureStability:
         mus = rep.surface[:, 0]
         r = np.array([2.0 * (s - cross_oracle(SKEW, mu, 2 ** 15)) / mu ** 2 for mu in mus])
         assert abs(rep.extremal_value - r.min()) < 1e-6 * abs(r.min())
+
+    # the scans' Simpson inner products against Owen's-T closed form, each
+    # within delta = 1e-15 of it (measured: 6e-16), over whole surfaces whose
+    # shifts start at 0.01 and 0.04, where the differences s - c cancel
+    @pytest.mark.parametrize("alpha", SKEW_ALPHAS)
+    def test_skew_kappa_surface_against_the_closed_form(self, alpha):
+        rep = scan_kappa(Kernel("skew_gaussian", alpha=alpha), 3.0, 300)
+        mus, r = rep.surface.T
+        c = skew_cross_closed(alpha, mus)
+        s = skew_cross_closed(alpha, 0.0)
+        # 2 (s - c) / mu^2 moves by at most 4 delta / mu^2
+        assert np.all(np.abs(r - 2.0 * (s - c) / np.square(mus)) <= 4e-15 / np.square(mus))
+
+    @pytest.mark.parametrize("alpha", SKEW_ALPHAS)
+    def test_skew_cs_surface_against_the_closed_form(self, alpha):
+        rep = scan_cs_ratio(Kernel("skew_gaussian", alpha=alpha), 2.0, 100, 0.1)
+        a, b, ratio = rep.surface.T
+        c_a, c_b, c_ab = (skew_cross_closed(alpha, x) for x in (a, b, a + b))
+        s = skew_cross_closed(alpha, 0.0)
+        want = np.abs(c_ab - c_a - c_b + s) / (2.0 * np.sqrt((s - c_a) * (s - c_b)))
+        # with m = min(s - c_a, s - c_b), about kappa mu^2 / 2, the numerator
+        # moves by 4 delta against a denominator of at least 2 m, and the
+        # denominator by 2 delta / m relative (to first order): at most
+        # (2 + 2 ratio) delta / m <= 4 delta / m
+        m = np.minimum(s - c_a, s - c_b)
+        assert np.all(np.abs(ratio - want) <= 4e-15 / m)
 
     def test_skew_l2w2_quadrature_converged(self):
         rep = scan_l2w2(SKEW, 4, 2.0, 5)

@@ -345,10 +345,11 @@ class TestCertify:
         assert out == ""
         assert "alpha" in err and "Traceback" not in err
 
-    # skew_kappa_alpha_*.csv were written by `contamix certify --check kappa`
-    # before the Simpson rule skipped the nodes outside its integrand's support:
-    # alpha < 0 has its zero blocks at the other end, and alpha = 0.5 has none
-    @pytest.mark.parametrize("alpha", ["-10", "0.5"])
+    # skew_kappa_alpha_*.csv were written by `contamix certify --check kappa`:
+    # -10 and 0.5 before the Simpson rule skipped the nodes outside its
+    # integrand's support (alpha < 0 has its zero blocks at the other end, and
+    # alpha = 0.5 has none); 200, past SKEW_CLOSED_ABOVE, pins the closed form
+    @pytest.mark.parametrize("alpha", ["-10", "0.5", "200"])
     def test_skew_kappa_surface_reproduces_golden_csv(self, alpha, tmp_path):
         out = tmp_path / "kappa.csv"
         code, _, _ = run_cli("certify", "--kernel", "skew_gaussian", f"--alpha={alpha}", "--check", "kappa",

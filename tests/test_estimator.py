@@ -13,18 +13,16 @@ from scipy.special import erfc, ndtr
 
 from contamix import estimator, kernels
 from contamix.estimator import (
-    ContrastTable,
-    EstimateResult,
     build_grid,
     contrast,
     contrast_naive,
     estimate,
     precompute,
 )
-from contamix.kernels import Kernel, cross_inner, cross_inner_many, pdf, self_inner, skew_cross_closed
+from contamix.kernels import Kernel, cross_inner, cross_inner_many, pdf, skew_cross_closed
 from contamix.mixture import MixtureParams, mixture_l2_norm_sq, mixture_pdf, sample_mixture
 
-from conftest import cross_oracle
+from conftest import SKEW_ALPHAS, cross_oracle
 
 GAUSS = Kernel("gaussian")
 GAUSS2 = Kernel("gaussian", dim=2)
@@ -723,13 +721,10 @@ class TestLatticeFamilies:
         assert np.max(fast - full) <= 1e-15
 
 
-SKEW_ALPHAS = [-10.0, -0.5, 0.5, 3.0, 10.0, 30.0]
-
-
 class TestSkewLatticeInner:
-    """The skew-Gaussian's default inner products come from its lattice plan,
-    within the plan's bound e of the Simpson values; only the candidate
-    columns get Simpson values."""
+    """The skew-Gaussian's lattice plan holds Owen's-T closed form, within
+    the plan's bound e of the Simpson values; only the candidate columns get
+    Simpson values."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -752,15 +747,15 @@ class TestSkewLatticeInner:
         ids=["4", "16", "500", "2000", "8000", "1806-M20"],
     )
     def test_bound_holds_at_every_level(self, alpha, n, M):
-        # at n = 1806, M = 20, 2R = 1020 lies just under 1024 and k_max = 849:
-        # an autocorrelation of length 1024 would wrap most lags
+        # the closed form is within e of the Simpson values at every n and
+        # at M = 20, where Simpson's window is widest
         kernel = Kernel("skew_gaussian", alpha=alpha)
         grid = build_grid(n, M, 1)
         plan = estimator._grid_plan(kernel, grid)
         simpson = cross_inner_many(kernel, grid.mu_levels)
         assert np.max(np.abs(plan.inner - simpson)) <= plan.inner_err
-        if n >= 500 and abs(alpha) <= 10.0:
-            # the bound is small where the lattice resolves the kernel
+        if abs(alpha) <= 10.0:
+            # e is Simpson's error bound, which grows like alpha^4 but not as n shrinks
             assert plan.inner_err < 1e-6
 
     @pytest.mark.parametrize("alpha", SKEW_ALPHAS)
@@ -773,33 +768,34 @@ class TestSkewLatticeInner:
     @pytest.mark.parametrize("alpha", SKEW_ALPHAS)
     @pytest.mark.parametrize("n, M", [(2000, 4.0), (8000, 10.0)], ids=["2000", "8000-M10"])
     def test_simpson_and_lattice_values_hold_against_the_closed_form(self, alpha, n, M):
-        # both values lie within the plan's bound e of the closed form (measured:
-        # at most 4.4e-16 apart, 1.7e-11 to 2.1e-6 of e), and the Simpson rule within
-        # 1e-14, the closed form's own accuracy (owens_t, about 1e-14 relative)
+        # the plan holds the closed form; the Simpson rule lies within the
+        # plan's bound e of it (measured: at most 5e-16 apart, at most 2.2e-6
+        # of e) and within 1e-14, the closed form's own accuracy (owens_t,
+        # about 1e-14 relative)
         kernel = Kernel("skew_gaussian", alpha=alpha)
         grid = build_grid(n, M, 1)
         plan = estimator._grid_plan(kernel, grid)
         exact = skew_cross_closed(alpha, grid.mu_levels)
         simpson = cross_inner_many(kernel, grid.mu_levels)
         assert np.max(np.abs(simpson - exact)) <= min(plan.inner_err, 1e-14)
-        assert np.max(np.abs(plan.inner - exact)) <= plan.inner_err
+        assert plan.inner.tobytes() == exact.tobytes()
 
     def test_bound_holds_past_the_closed_form_threshold(self):
-        # alpha = 200 takes the closed form; the lattice resolves Psi(alpha t)
-        # from n of about alpha^2 on, where e stays small
+        # alpha = 200: ``cross_inner`` takes the closed form too, so e is only
+        # its allowance, at any n
         alpha = 200.0
         kernel = Kernel("skew_gaussian", alpha=alpha)
-        grid = build_grid(90000, 1.0, 1)
+        grid = build_grid(16, 4.0, 1)
         plan = estimator._grid_plan(kernel, grid)
         exact = skew_cross_closed(alpha, grid.mu_levels)
         assert np.max(np.abs(cross_inner_many(kernel, grid.mu_levels) - exact)) <= 1e-16
-        assert np.max(np.abs(plan.inner - exact)) <= plan.inner_err < 1e-6
+        assert np.max(np.abs(plan.inner - exact)) <= plan.inner_err == estimator._SKEW_CLOSED_ERR
 
     def test_huge_alpha_recomputes_every_column(self, monkeypatch):
-        # the lattice cannot resolve Psi(alpha t) at n = 16: e is useless and
-        # every column gets its ``cross_inner`` value, as the direct path does.  From
-        # alpha 1e20 on the skew tables overflow (as estimate's errstate
-        # allows), and the plan's guard must turn the bound e into inf
+        # the Taylor tables cannot resolve Psi(alpha t) at n = 16: eps is
+        # useless and every column is recomputed, as the direct path does.
+        # From alpha 1e20 on the skew tables overflow (as estimate's errstate
+        # allows), and the transform's guard must turn eps into inf
         grid = build_grid(16, 2.0, 1)
         sizes = spy_precompute(monkeypatch)
         for alpha in (1e4, 1e20, -1e20, 1e200, -1e200):
@@ -811,7 +807,7 @@ class TestSkewLatticeInner:
             with np.errstate(over="ignore", invalid="ignore"):
                 plan = estimator._grid_plan(kernel, grid)
                 sums, eps = estimator._approximate(kernel, grid, data)[:2]
-            assert not plan.inner_err < 1.0
+            assert plan.inner_err == estimator._SKEW_CLOSED_ERR and not eps < 1.0
             # an infinite bound stands for non-finite sums
             assert eps == math.inf or np.max(np.abs(sums - table.shift_sums)) <= eps
             res = estimate(kernel, data, 2.0)
@@ -830,6 +826,16 @@ class TestSkewLatticeInner:
         want_table, want_err = estimator._skew_spec(kernel).tables(t)
         assert np.array_equal(table.view(np.int64), want_table.view(np.int64))
         assert np.array_equal(err.view(np.int64), want_err.view(np.int64))
+
+    @pytest.mark.parametrize("alpha, n, M, most", [(30.0, 500, 10.0, 5), (10.0, 16, 4.0, 31)])
+    def test_small_n_recomputes_few_columns(self, alpha, n, M, most, monkeypatch):
+        # e does not grow as n shrinks or |alpha| grows, so the scan still
+        # recomputes only the candidate columns (out of 446 and 32 levels)
+        kernel = Kernel("skew_gaussian", alpha=alpha)
+        data = sample_mixture(kernel, MixtureParams(0.25, 2.0), n, seed=20260809)
+        sizes = spy_precompute(monkeypatch)
+        assert_lattice_scan_exact(data, M, kernel)
+        assert sizes[-1] <= most
 
     def test_simpson_only_on_candidates(self, monkeypatch):
         levels = []

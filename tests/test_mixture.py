@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from contamix.kernels import Kernel, pdf, pdf_many, self_inner
+from contamix.kernels import Kernel, pdf, self_inner
 from contamix.mixture import (
     MixtureParams,
     l2_distance_sq,
